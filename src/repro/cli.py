@@ -659,10 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mc-engine", default=MC_ENGINES[0], choices=list(MC_ENGINES),
         help="Monte-Carlo execution path: 'frame' (default) propagates "
         "bit-packed Pauli flip frames (per-shot cost independent of "
-        "qubit count), 'batched' runs chunked shared-symplectic "
-        "tableaus, 'per-shot' is the original reference engine — all "
-        "three produce bit-identical tallies, each ~10x+ slower than "
-        "the previous",
+        "qubit count), 'per-shot' is the reference engine — both "
+        "produce bit-identical tallies, per-shot 100x+ slower",
     )
 
     p = sub.add_parser(

@@ -26,7 +26,8 @@ Yields are the per-site closed form
 (:func:`repro.hardware.degradation.site_analytic_yield`) over each
 candidate program's own site assignment, so a policy is credited
 exactly for the bad cells it vacates.  ``recover`` walks the ladder and
-returns a :class:`DegradationReport`; ``apply_policy`` evaluates one
+returns a :class:`DegradationReport` carrying the winning rung's
+program; ``apply_policy`` evaluates one
 policy for sweep harnesses that grid over policies explicitly.
 """
 
@@ -100,6 +101,8 @@ class DegradationReport:
     attempted: Tuple[str, ...] = ()
     policy_yields: Dict[str, float] = field(default_factory=dict)
     error: Optional[str] = None
+    #: the chosen rung's program (None when that rung failed to build one)
+    program: Optional[CompiledProgram] = None
 
     def summary(self) -> str:
         """One-line human-readable digest."""
@@ -424,4 +427,5 @@ def recover(
             o.policy: o.yield_degraded for o in outcomes
         },
         error=chosen.error,
+        program=chosen.program,
     )

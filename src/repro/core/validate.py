@@ -312,8 +312,8 @@ class YieldEstimate:
             of a noise sweep moves.
         method: ``"mc-stabilizer"`` or ``"analytic-only"``.
         mc_engine: sampler execution path (``"frame"`` bit-packed Pauli
-            frames, ``"batched"`` chunked tableau, or the ``"per-shot"``
-            reference); ``None`` when no sampling ran.
+            frames or the ``"per-shot"`` reference); ``None`` when no
+            sampling ran.
         shots_per_second: sampling throughput; ``None`` when no sampling
             ran.
         seconds: wall time spent sampling.
@@ -366,8 +366,7 @@ def estimate_yield(
             program's fusion tally and photon-cycle estimate.
         engine: sampler execution path — ``"frame"`` (default;
             bit-packed Pauli frames, per-shot cost independent of qubit
-            count), ``"batched"`` (chunked shared-symplectic tableau)
-            or ``"per-shot"`` (the reference path).  Tallies are
+            count) or ``"per-shot"`` (the reference path).  Tallies are
             bit-identical at a fixed seed.
         site_map: per-site degradation map
             (:class:`repro.hardware.degradation.SiteNoiseMap`); when

@@ -26,142 +26,21 @@ import json
 import multiprocessing
 import pathlib
 import time
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.serve.store import ArtifactStore, atomic_write_json
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.circuit.circuit import Circuit
+    from repro.core.compiler import CompiledProgram, OneQConfig
+    from repro.hardware.degradation import SiteNoiseMap
+    from repro.mbqc.pattern import MeasurementPattern
+
 SCHEMA_VERSION = 9
 
-#: Run-table columns, in on-disk CSV order.  Meanings:
-#:   key                 content hash of the spec (cache identity)
-#:   benchmark/num_qubits/seed   which circuit was compiled
-#:   resource_state/ratio/area/extension   hardware coordinate
-#:   depth/num_fusions   the paper's two headline metrics (OneQ)
-#:   synthesis/edge/routing/shuffling/z_measurements   fusion breakdown
-#:   mapping_layers/shuffle_layers/num_partitions   layer accounting
-#:   pattern_nodes/pattern_edges   measurement-pattern size
-#:   resource_states_used/deferred_pairs/photon_deficit   bookkeeping
-#:   baseline_depth/baseline_fusions   baseline interpreter on the same
-#:       area (absent when the spec disables the baseline)
-#:   depth_improvement/fusion_improvement   baseline / OneQ ratios
-#:   seconds   OneQ compile wall time;  baseline_seconds   baseline time
-#:   translate/schedule/partition/map/shuffle_seconds   per-stage compile
-#:       breakdown (``bench --profile`` renders these)
-#:   map_score/map_route/map_place_seconds   mapper sub-stages (v7):
-#:       candidate scoring, path routing, and cell placement inside the
-#:       map stage; their sum is below map_seconds, whose remainder is
-#:       fusion-graph synthesis and edge-order bookkeeping
-#:   verified/verify_method/verify_seconds   semantic verification stage
-#:       (``verify=True`` specs): did the compiled pattern implement the
-#:       circuit, which engine checked it (stabilizer for Clifford
-#:       patterns, statevector for small dense ones, static flow-based
-#:       determinism certification otherwise)
-#:   lint_issues   static-lint error count over the pattern and compiled
-#:       program (v6, ``lint=True`` specs; None = lint stage not run)
-#:   noise     NoiseModel overrides as "name=value,..." ("" = defaults)
-#:   shots     Monte-Carlo shots actually sampled (0 = no sampling ran,
-#:       including non-Clifford programs where only the analytic yield
-#:       applies)
-#:   yield_mc  fraction of shots whose executed output passed the
-#:       stabilizer check (None for non-Clifford programs: analytic only)
-#:   yield_analytic   closed-form zero-fault probability from the
-#:       compiled program's fault counts
-#:   mc_attempts_per_fusion   mean sampled fusion attempts per required
-#:       fusion (repeat-until-success; expected 1/fusion_success — the
-#:       observable the fusion_success axis moves), tallied over the
-#:       shots that completed their fusion sequence
-#:   mc_seconds   wall seconds of the Monte-Carlo stage
-#:   shots_per_second   Monte-Carlo sampling throughput (v4; None when
-#:       no sampling ran)
-#:   mc_engine   sampler execution path (v4, "frame" added in v5):
-#:       "frame" bit-packed Pauli frames (default), "batched" chunked
-#:       tableau, or the "per-shot" reference; None when no sampling ran
-#:   scenario  hardware-degradation scenario name (v9; "" = pristine
-#:       hardware, no degradation stage)
-#:   severity  scenario severity knob in [0, 1] (v9)
-#:   dead_fraction   fraction of grid cells the scenario killed outright
-#:       (v9; None when no degradation stage ran)
-#:   policy    recovery policy evaluated (v9): "survive", "reroute",
-#:       "recompile", or the ladder winner when the spec asked "auto"
-#:   recovered   did the policy retain >= 50% of the clean yield with a
-#:       non-zero yield (v9; the RECOVERY_THRESHOLD bar)
-#:   yield_degraded   per-site closed-form yield of the (possibly
-#:       re-routed/recompiled) program under the scenario map (v9)
-#:   rerouted_fusions   fusions living on re-routed or re-placed routes
-#:       (v9; 0 for survive, the full fusion count for recompile)
-#:   cached    True when the row came from the artifact store
-#:   cache_tier   which store tier served a cached row (v8): "memory"
-#:       (in-process LRU) or "disk" (content-hash JSON file); empty for
-#:       freshly computed rows
-#:   cache_age_seconds   seconds between the cached artifact's original
-#:       compute and this read (v8; empty for fresh rows) — the honest
-#:       companion to ``seconds``, which for cached rows reports the
-#:       *original* run's timing, not this invocation's
-RUN_TABLE_COLUMNS: List[str] = [
-    "key",
-    "benchmark",
-    "num_qubits",
-    "seed",
-    "resource_state",
-    "ratio",
-    "area",
-    "extension",
-    "depth",
-    "num_fusions",
-    "synthesis",
-    "edge",
-    "routing",
-    "shuffling",
-    "z_measurements",
-    "mapping_layers",
-    "shuffle_layers",
-    "num_partitions",
-    "pattern_nodes",
-    "pattern_edges",
-    "resource_states_used",
-    "deferred_pairs",
-    "photon_deficit",
-    "baseline_depth",
-    "baseline_fusions",
-    "depth_improvement",
-    "fusion_improvement",
-    "seconds",
-    "baseline_seconds",
-    "translate_seconds",
-    "schedule_seconds",
-    "partition_seconds",
-    "map_seconds",
-    "map_score_seconds",
-    "map_route_seconds",
-    "map_place_seconds",
-    "shuffle_seconds",
-    "verified",
-    "verify_method",
-    "verify_seconds",
-    "lint_issues",
-    "noise",
-    "shots",
-    "yield_mc",
-    "yield_analytic",
-    "mc_attempts_per_fusion",
-    "mc_seconds",
-    "shots_per_second",
-    "mc_engine",
-    "scenario",
-    "severity",
-    "dead_fraction",
-    "policy",
-    "recovered",
-    "yield_degraded",
-    "rerouted_fusions",
-    "cached",
-    "cache_tier",
-    "cache_age_seconds",
-]
-
 #: compile stages reported by ``CompiledProgram.stage_seconds``, in
-#: pipeline order (the ``verify`` stage is appended by ``execute_spec``)
+#: pipeline order (``render_stage_profile`` appends the ``verify`` column)
 PROFILE_STAGES: Tuple[str, ...] = (
     "translate", "schedule", "partition", "map",
     "map_score", "map_route", "map_place", "shuffle",
@@ -193,9 +72,8 @@ class RunSpec:
     #: ``(("cycle_loss", 0.01), ("fusion_success", 0.5))``
     noise: Tuple[Tuple[str, float], ...] = ()
     #: Monte-Carlo sampler execution path: "frame" (default; bit-packed
-    #: Pauli frames), "batched" (chunked shared-symplectic tableau) or
-    #: the "per-shot" reference engine — all bit-identical tallies,
-    #: each ~10x+ slower than the previous
+    #: Pauli frames) or the "per-shot" reference engine — bit-identical
+    #: tallies, per-shot 100x+ slower
     mc_engine: str = "frame"
     #: hardware-degradation scenario
     #: (:data:`repro.hardware.degradation.SCENARIOS`); "" disables the
@@ -298,239 +176,335 @@ class RunRecord:
         return f"{self.benchmark}-{self.num_qubits}"
 
 
-def execute_spec(spec: RunSpec) -> RunRecord:
-    """Compile one spec and measure it (runs inside worker processes)."""
-    from repro.baseline.interpreter import compile_baseline
+#: Run-table columns, in on-disk CSV order.  Meanings:
+#:   key                 content hash of the spec (cache identity)
+#:   benchmark/num_qubits/seed   which circuit was compiled
+#:   resource_state/ratio/area/extension   hardware coordinate
+#:   depth/num_fusions   the paper's two headline metrics (OneQ)
+#:   synthesis/edge/routing/shuffling/z_measurements   fusion breakdown
+#:   mapping_layers/shuffle_layers/num_partitions   layer accounting
+#:   pattern_nodes/pattern_edges   measurement-pattern size
+#:   resource_states_used/deferred_pairs/photon_deficit   bookkeeping
+#:   baseline_depth/baseline_fusions   baseline interpreter on the same
+#:       area (absent when the spec disables the baseline)
+#:   depth_improvement/fusion_improvement   baseline / OneQ ratios
+#:   seconds   OneQ compile wall time;  baseline_seconds   baseline time
+#:   translate/schedule/partition/map/shuffle_seconds   per-stage compile
+#:       breakdown (``bench --profile`` renders these)
+#:   map_score/map_route/map_place_seconds   mapper sub-stages (v7):
+#:       candidate scoring, path routing, and cell placement inside the
+#:       map stage; their sum is below map_seconds, whose remainder is
+#:       fusion-graph synthesis and edge-order bookkeeping
+#:   verified/verify_method/verify_seconds   semantic verification stage
+#:       (``verify=True`` specs): did the compiled pattern implement the
+#:       circuit, which engine checked it (stabilizer for Clifford
+#:       patterns, statevector for small dense ones, static flow-based
+#:       determinism certification otherwise)
+#:   lint_issues   static-lint error count over the pattern and compiled
+#:       program (v6, ``lint=True`` specs; None = lint stage not run)
+#:   noise     NoiseModel overrides as "name=value,..." ("" = defaults)
+#:   shots     Monte-Carlo shots actually sampled (0 = no sampling ran,
+#:       including non-Clifford programs where only the analytic yield
+#:       applies)
+#:   yield_mc  fraction of shots whose executed output passed the
+#:       stabilizer check (None for non-Clifford programs: analytic only)
+#:   yield_analytic   closed-form zero-fault probability from the
+#:       compiled program's fault counts
+#:   mc_attempts_per_fusion   mean sampled fusion attempts per required
+#:       fusion (repeat-until-success; expected 1/fusion_success — the
+#:       observable the fusion_success axis moves), tallied over the
+#:       shots that completed their fusion sequence
+#:   mc_seconds   wall seconds of the Monte-Carlo stage
+#:   shots_per_second   Monte-Carlo sampling throughput (v4; None when
+#:       no sampling ran)
+#:   mc_engine   sampler execution path (v4, "frame" added in v5):
+#:       "frame" bit-packed Pauli frames (default) or the "per-shot"
+#:       reference; None when no sampling ran
+#:   scenario  hardware-degradation scenario name (v9; "" = pristine
+#:       hardware, no degradation stage)
+#:   severity  scenario severity knob in [0, 1] (v9)
+#:   dead_fraction   fraction of grid cells the scenario killed outright
+#:       (v9; None when no degradation stage ran)
+#:   policy    recovery policy evaluated (v9): "survive", "reroute",
+#:       "recompile", or the ladder winner when the spec asked "auto"
+#:   recovered   did the policy retain >= 50% of the clean yield with a
+#:       non-zero yield (v9; the RECOVERY_THRESHOLD bar)
+#:   yield_degraded   per-site closed-form yield of the (possibly
+#:       re-routed/recompiled) program under the scenario map (v9)
+#:   rerouted_fusions   fusions living on re-routed or re-placed routes
+#:       (v9; 0 for survive, the full fusion count for recompile)
+#:   cached    True when the row came from the artifact store
+#:   cache_tier   which store tier served a cached row (v8): "memory"
+#:       (in-process LRU) or "disk" (content-hash JSON file); empty for
+#:       freshly computed rows
+#:   cache_age_seconds   seconds between the cached artifact's original
+#:       compute and this read (v8; empty for fresh rows) — the honest
+#:       companion to ``seconds``, which for cached rows reports the
+#:       *original* run's timing, not this invocation's
+RUN_TABLE_COLUMNS: List[str] = [f.name for f in fields(RunRecord)]
+
+
+@dataclass
+class _Compiled:
+    """What the compile stage hands the measuring stages."""
+
+    circuit: "Circuit"
+    pattern: "MeasurementPattern"
+    program: "CompiledProgram"
+    config: "OneQConfig"
+
+
+Columns = Dict[str, Any]
+
+
+def _compile_stage(spec: RunSpec) -> Tuple[_Compiled, Columns]:
+    """Build the circuit and hardware, translate and compile; returns the
+    spec and program columns of the row."""
     from repro.circuit.benchmarks import get_benchmark
     from repro.core.compiler import OneQCompiler, OneQConfig
     from repro.eval.experiments import _hardware_for
     from repro.hardware.resource_state import get_resource_state
     from repro.mbqc.translate import circuit_to_pattern
 
-    rst = get_resource_state(spec.resource_state)
     circuit = get_benchmark(spec.benchmark, spec.num_qubits, seed=spec.seed)
     hardware = _hardware_for(
         spec.num_qubits,
-        rst,
+        get_resource_state(spec.resource_state),
         ratio=spec.ratio,
         area=spec.area,
         extension=spec.extension,
     )
-    compiler = OneQCompiler(
-        OneQConfig(hardware=hardware, **dict(spec.compiler_options))
-    )
+    config = OneQConfig(hardware=hardware, **dict(spec.compiler_options))
     # translate once: the compiler consumes the pattern and the verify
     # stage re-checks the same pattern against the circuit
     t0 = time.perf_counter()
     pattern = circuit_to_pattern(circuit)
     translate_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
-    program = compiler.compile_pattern(
+    program = OneQCompiler(config).compile_pattern(
         pattern, name=spec.label, num_qubits=circuit.num_qubits
     )
     oneq_seconds = translate_seconds + time.perf_counter() - t0
     program.stage_seconds["translate"] = translate_seconds
 
-    verified = verify_method = None
-    verify_seconds = 0.0
-    if spec.verify:
-        from repro.core.validate import verify_pattern
+    tally = program.fusions
+    columns: Columns = {
+        "key": spec.key(),
+        "benchmark": spec.benchmark,
+        "num_qubits": spec.num_qubits,
+        "seed": spec.seed,
+        "resource_state": spec.resource_state,
+        "ratio": spec.ratio,
+        "area": spec.area,
+        "extension": spec.extension,
+        "depth": program.physical_depth,
+        "num_fusions": program.num_fusions,
+        "synthesis": tally.synthesis,
+        "edge": tally.edge,
+        "routing": tally.routing,
+        "shuffling": tally.shuffling,
+        "z_measurements": tally.z_measurements,
+        "mapping_layers": program.mapping_layers,
+        "shuffle_layers": program.shuffle_layers,
+        "num_partitions": program.num_partitions,
+        "pattern_nodes": program.pattern_nodes,
+        "pattern_edges": program.pattern_edges,
+        "resource_states_used": program.resource_states_used,
+        "deferred_pairs": program.deferred_pairs,
+        "photon_deficit": program.photon_deficit,
+        "seconds": oneq_seconds,
+        "noise": spec.noise_label(),
+        "scenario": spec.scenario,
+        "severity": spec.severity,
+    }
+    columns.update(
+        {
+            f"{stage}_seconds": program.stage_seconds.get(stage, 0.0)
+            for stage in PROFILE_STAGES
+        }
+    )
+    return _Compiled(circuit, pattern, program, config), columns
 
-        report = verify_pattern(circuit, pattern=pattern, seed=spec.seed)
-        verified = report.ok
-        verify_method = report.method
-        verify_seconds = report.seconds
 
-    lint_issues = None
-    if spec.lint:
-        from repro.analysis.lint import lint_compiled_program, lint_pattern
+def _verify_stage(spec: RunSpec, run: _Compiled) -> Columns:
+    """Semantic verification of the pattern against the circuit."""
+    from repro.core.validate import verify_pattern
 
-        lint_report = lint_pattern(pattern, name=spec.label)
-        lint_report.extend(
-            lint_compiled_program(program, hardware, name=spec.label)
+    report = verify_pattern(run.circuit, pattern=run.pattern, seed=spec.seed)
+    return {
+        "verified": report.ok,
+        "verify_method": report.method,
+        "verify_seconds": report.seconds,
+    }
+
+
+def _lint_stage(spec: RunSpec, run: _Compiled) -> Columns:
+    """Static-lint error count over the pattern and compiled program."""
+    from repro.analysis.lint import lint_compiled_program, lint_pattern
+
+    report = lint_pattern(run.pattern, name=spec.label)
+    report.extend(
+        lint_compiled_program(
+            run.program, run.config.hardware, name=spec.label
         )
-        lint_issues = len(lint_report.errors())
+    )
+    return {"lint_issues": len(report.errors())}
 
-    dead_fraction = policy_used = recovered = None
-    yield_degraded = rerouted_fusions = None
-    degrade_map = degrade_program = None
-    if spec.scenario:
-        from repro.core.recovery import (
-            RECOVERY_THRESHOLD,
-            apply_policy,
-            clean_yield,
-            recover,
+
+def _degrade_stage(
+    spec: RunSpec, run: _Compiled
+) -> Tuple["SiteNoiseMap", Optional["CompiledProgram"], Columns]:
+    """Build the scenario's site map and evaluate the recovery policy;
+    returns the map, the policy's program (None when it failed to build
+    one) and the degradation columns."""
+    from repro.core.recovery import (
+        RECOVERY_THRESHOLD,
+        apply_policy,
+        clean_yield,
+        recover,
+    )
+    from repro.hardware.degradation import make_scenario
+    from repro.hardware.noise import NoiseModel
+
+    site_map = make_scenario(
+        spec.scenario,
+        run.config.hardware.extended_shape,
+        spec.severity,
+        base=NoiseModel(**dict(spec.noise)),
+        seed=spec.seed,
+    )
+    if spec.policy == "auto":
+        report = recover(
+            run.circuit,
+            run.program,
+            site_map,
+            run.config,
+            scenario=spec.scenario,
+            severity=spec.severity,
         )
-        from repro.hardware.degradation import make_scenario
-        from repro.hardware.noise import NoiseModel
+        program = report.program
+        policy = report.policy
+        recovered = report.recovered
+        yield_degraded = report.yield_degraded
+        rerouted_fusions = report.rerouted_fusions
+    else:
+        outcome = apply_policy(
+            spec.policy, run.circuit, run.program, site_map, run.config
+        )
+        program = outcome.program
+        policy = outcome.policy
+        yield_degraded = outcome.yield_degraded
+        rerouted_fusions = outcome.rerouted_fusions
+        recovered = (
+            yield_degraded > 0.0
+            and yield_degraded
+            >= RECOVERY_THRESHOLD * clean_yield(run.program, site_map)
+        )
+    return site_map, program, {
+        "dead_fraction": site_map.dead_fraction,
+        "policy": policy,
+        "recovered": recovered,
+        "yield_degraded": yield_degraded,
+        "rerouted_fusions": rerouted_fusions,
+    }
 
-        degrade_map = make_scenario(
-            spec.scenario,
-            hardware.extended_shape,
-            spec.severity,
-            base=NoiseModel(**dict(spec.noise)),
+
+def _sample_stage(
+    spec: RunSpec,
+    run: _Compiled,
+    site_map: Optional["SiteNoiseMap"] = None,
+    program: Optional["CompiledProgram"] = None,
+) -> Columns:
+    """Monte-Carlo yield of the compiled program, or, on a degradation
+    spec, of the policy's *program* under *site_map*."""
+    from repro.core.validate import estimate_yield
+    from repro.hardware.noise import NoiseModel
+    from repro.sim.noisy import FaultCounts
+
+    if site_map is None:
+        estimate = estimate_yield(
+            run.circuit,
+            pattern=run.pattern,
+            model=NoiseModel(**dict(spec.noise)),
+            shots=spec.shots,
             seed=spec.seed,
+            counts=FaultCounts.from_program(run.program),
+            engine=spec.mc_engine,
         )
-        dead_fraction = degrade_map.dead_fraction
-        if spec.policy == "auto":
-            report = recover(
-                circuit,
-                program,
-                degrade_map,
-                compiler.config,
-                scenario=spec.scenario,
-                severity=spec.severity,
-            )
-            policy_used = report.policy
-            recovered = report.recovered
-            yield_degraded = report.yield_degraded
-            rerouted_fusions = report.rerouted_fusions
-            # recover() reports the winning rung but not its program;
-            # re-apply the winner so the MC stage can sample it
-            outcome = apply_policy(
-                report.policy, circuit, program, degrade_map, compiler.config
-            )
-        else:
-            outcome = apply_policy(
-                spec.policy, circuit, program, degrade_map, compiler.config
-            )
-            policy_used = outcome.policy
-            yield_degraded = outcome.yield_degraded
-            rerouted_fusions = outcome.rerouted_fusions
-            recovered = (
-                outcome.yield_degraded > 0.0
-                and outcome.yield_degraded
-                >= RECOVERY_THRESHOLD * clean_yield(program, degrade_map)
-            )
-        degrade_program = outcome.program
+    elif program is None:
+        return {}
+    else:
+        # dead-assigned fusions (a failed "survive") cannot be sampled:
+        # the analytic yield_degraded column already records the
+        # collapse, so MC is skipped
+        from repro.hardware.degradation import program_site_profile
 
-    yield_mc = yield_analytic = mc_attempts = None
-    shots_per_second = mc_engine = None
-    mc_shots = 0
-    mc_seconds = 0.0
-    if spec.shots > 0:
-        from repro.core.validate import estimate_yield
-        from repro.hardware.noise import NoiseModel
-        from repro.sim.noisy import FaultCounts
-
-        estimate = None
-        if degrade_map is not None:
-            # degradation specs sample the policy's program under the
-            # per-site map; dead-assigned fusions (a failed "survive")
-            # cannot be sampled — the analytic yield_degraded column
-            # already records the collapse, so MC is skipped
-            from repro.hardware.degradation import program_site_profile
-
-            if degrade_program is not None:
-                try:
-                    estimate = estimate_yield(
-                        circuit,
-                        pattern=pattern,
-                        shots=spec.shots,
-                        seed=spec.seed,
-                        counts=FaultCounts.from_program(degrade_program),
-                        engine=spec.mc_engine,
-                        site_map=degrade_map,
-                        site_profile=program_site_profile(
-                            degrade_program, degrade_map.shape
-                        ),
-                    )
-                except ValueError:
-                    estimate = None
-        else:
+        try:
             estimate = estimate_yield(
-                circuit,
-                pattern=pattern,
-                model=NoiseModel(**dict(spec.noise)),
+                run.circuit,
+                pattern=run.pattern,
                 shots=spec.shots,
                 seed=spec.seed,
                 counts=FaultCounts.from_program(program),
                 engine=spec.mc_engine,
+                site_map=site_map,
+                site_profile=program_site_profile(program, site_map.shape),
             )
-        if estimate is not None:
-            # estimate.shots is 0 when no sampling engine applied
-            # (non-Clifford program, analytic-only fallback)
-            mc_shots = estimate.shots
-            yield_mc = estimate.yield_mc
-            yield_analytic = estimate.yield_analytic
-            mc_attempts = estimate.attempts_per_fusion
-            mc_seconds = estimate.seconds
-            shots_per_second = estimate.shots_per_second
-            mc_engine = estimate.mc_engine
+        except ValueError:
+            return {}
+    # estimate.shots is 0 when no sampling engine applied (non-Clifford
+    # program, analytic-only fallback)
+    return {
+        "shots": estimate.shots,
+        "yield_mc": estimate.yield_mc,
+        "yield_analytic": estimate.yield_analytic,
+        "mc_attempts_per_fusion": estimate.attempts_per_fusion,
+        "mc_seconds": estimate.seconds,
+        "shots_per_second": estimate.shots_per_second,
+        "mc_engine": estimate.mc_engine,
+    }
 
-    baseline_depth = baseline_fusions = None
-    depth_improvement = fusion_improvement = None
-    baseline_seconds = 0.0
-    if spec.include_baseline:
-        t0 = time.perf_counter()
-        baseline = compile_baseline(
-            circuit, name=spec.benchmark, resource_state=rst
-        )
-        baseline_seconds = time.perf_counter() - t0
-        baseline_depth = baseline.depth
-        baseline_fusions = baseline.num_fusions
-        depth_improvement = baseline.depth / max(1, program.physical_depth)
-        fusion_improvement = baseline.num_fusions / max(1, program.num_fusions)
 
-    tally = program.fusions
-    return RunRecord(
-        key=spec.key(),
-        benchmark=spec.benchmark,
-        num_qubits=spec.num_qubits,
-        seed=spec.seed,
-        resource_state=spec.resource_state,
-        ratio=spec.ratio,
-        area=spec.area,
-        extension=spec.extension,
-        depth=program.physical_depth,
-        num_fusions=program.num_fusions,
-        synthesis=tally.synthesis,
-        edge=tally.edge,
-        routing=tally.routing,
-        shuffling=tally.shuffling,
-        z_measurements=tally.z_measurements,
-        mapping_layers=program.mapping_layers,
-        shuffle_layers=program.shuffle_layers,
-        num_partitions=program.num_partitions,
-        pattern_nodes=program.pattern_nodes,
-        pattern_edges=program.pattern_edges,
-        resource_states_used=program.resource_states_used,
-        deferred_pairs=program.deferred_pairs,
-        photon_deficit=program.photon_deficit,
-        baseline_depth=baseline_depth,
-        baseline_fusions=baseline_fusions,
-        depth_improvement=depth_improvement,
-        fusion_improvement=fusion_improvement,
-        seconds=oneq_seconds,
-        baseline_seconds=baseline_seconds,
-        translate_seconds=program.stage_seconds.get("translate", 0.0),
-        schedule_seconds=program.stage_seconds.get("schedule", 0.0),
-        partition_seconds=program.stage_seconds.get("partition", 0.0),
-        map_seconds=program.stage_seconds.get("map", 0.0),
-        map_score_seconds=program.stage_seconds.get("map_score", 0.0),
-        map_route_seconds=program.stage_seconds.get("map_route", 0.0),
-        map_place_seconds=program.stage_seconds.get("map_place", 0.0),
-        shuffle_seconds=program.stage_seconds.get("shuffle", 0.0),
-        verified=verified,
-        verify_method=verify_method,
-        verify_seconds=verify_seconds,
-        lint_issues=lint_issues,
-        noise=spec.noise_label(),
-        shots=mc_shots,
-        yield_mc=yield_mc,
-        yield_analytic=yield_analytic,
-        mc_attempts_per_fusion=mc_attempts,
-        mc_seconds=mc_seconds,
-        shots_per_second=shots_per_second,
-        mc_engine=mc_engine,
-        scenario=spec.scenario,
-        severity=spec.severity,
-        dead_fraction=dead_fraction,
-        policy=policy_used,
-        recovered=recovered,
-        yield_degraded=yield_degraded,
-        rerouted_fusions=rerouted_fusions,
+def _baseline_stage(spec: RunSpec, run: _Compiled) -> Columns:
+    """The baseline interpreter on the same circuit and resource state."""
+    from repro.baseline.interpreter import compile_baseline
+    from repro.hardware.resource_state import get_resource_state
+
+    rst = get_resource_state(spec.resource_state)
+    t0 = time.perf_counter()
+    baseline = compile_baseline(
+        run.circuit, name=spec.benchmark, resource_state=rst
     )
+    return {
+        "baseline_seconds": time.perf_counter() - t0,
+        "baseline_depth": baseline.depth,
+        "baseline_fusions": baseline.num_fusions,
+        "depth_improvement": baseline.depth
+        / max(1, run.program.physical_depth),
+        "fusion_improvement": baseline.num_fusions
+        / max(1, run.program.num_fusions),
+    }
+
+
+def execute_spec(spec: RunSpec) -> RunRecord:
+    """Compile one spec and measure it (runs inside worker processes).
+
+    Each stage the spec enables contributes its columns; columns of a
+    stage that did not run keep their :class:`RunRecord` defaults."""
+    run, row = _compile_stage(spec)
+    if spec.verify:
+        row.update(_verify_stage(spec, run))
+    if spec.lint:
+        row.update(_lint_stage(spec, run))
+    site_map = program = None
+    if spec.scenario:
+        site_map, program, columns = _degrade_stage(spec, run)
+        row.update(columns)
+    if spec.shots > 0:
+        row.update(_sample_stage(spec, run, site_map, program))
+    if spec.include_baseline:
+        row.update(_baseline_stage(spec, run))
+    return RunRecord(**row)
 
 
 def _execute_spec_dict(payload: Dict) -> Dict:

@@ -288,7 +288,7 @@ def noise_sweep_specs(
     state, fusion_success, cycle_loss) coordinate; every spec carries
     ``shots`` Monte-Carlo shots, its noise overrides and the sampler
     execution path (``mc_engine``: "frame" default — bit-packed Pauli
-    frames — with "batched" and the "per-shot" reference available), so
+    frames — with the "per-shot" reference available), so
     yields and throughput land in the schema-v5 run-table columns.
     """
     from repro.eval.batch import RunSpec

@@ -39,6 +39,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.serve.protocol import error_response
 from repro.serve.store import ArtifactStore
+from repro.sim.noisy import ENGINES as MC_ENGINES
 from repro.utils.sync import make_lock
 
 #: bump when the artifact payload shape changes: stale disk entries
@@ -47,7 +48,6 @@ ARTIFACT_VERSION = 1
 
 _VALID_RESOURCE_STATES = ("3-line", "4-line", "4-star", "4-ring")
 _VALID_BENCHMARKS = ("QFT", "QAOA", "RCA", "BV")
-_VALID_ENGINES = ("frame", "batched", "per-shot")
 
 #: compile-request fields and their validators/defaults; everything
 #: else in a request is a hard error (``bad-request``)
@@ -160,8 +160,8 @@ def normalize_request(request: Dict[str, Any]) -> Dict[str, Any]:
 
     mc_engine = request.get("mc_engine", "frame")
     _require(
-        mc_engine in _VALID_ENGINES,
-        f"'mc_engine' must be one of {', '.join(_VALID_ENGINES)}",
+        mc_engine in MC_ENGINES,
+        f"'mc_engine' must be one of {', '.join(MC_ENGINES)}",
     )
     job["mc_engine"] = mc_engine
     return job
@@ -345,9 +345,12 @@ class CompileService:
         try:
             artifact = future.result()
         except Exception as exc:  # worker raised: report, don't crash
-            with self._lock:
-                self._inflight.pop(key, None)
-                self.jobs_failed += 1
+            # only the owner counts the failure and retires the entry: a
+            # late joiner popping it could drop a newer job for this key
+            if owner:
+                with self._lock:
+                    self._inflight.pop(key, None)
+                    self.jobs_failed += 1
             return error_response(
                 "compile-error", f"{type(exc).__name__}: {exc}", key=key
             )

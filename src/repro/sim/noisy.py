@@ -42,7 +42,7 @@ per sampler as a calibration shot), so only faulty shots pay for a full
 tableau run.  At realistic error rates this makes large shot counts
 cheap.
 
-Faulty shots themselves run on one of three engines, fastest first:
+Faulty shots themselves run on one of two engines:
 
 * ``engine="frame"`` (default): the bit-packed Pauli-frame engine
   (:mod:`repro.sim.frame`).  Every supported fault channel is a
@@ -50,22 +50,16 @@ Faulty shots themselves run on one of three engines, fastest first:
   single reference tableau run each faulty shot reduces to an X/Z flip
   frame XOR-propagated 64 shots per ``uint64`` word — per-shot cost is
   independent of qubit count.
-* ``engine="batched"``: a whole chunk of faulty shots shares one
-  symplectic tableau and executes the measurement sequence once on
-  :class:`repro.sim.stabilizer_batch.BatchedStabilizerState` — per-shot
-  cost collapses to vectorized sign algebra over the ``(batch, 2n)``
-  sign plane.
-* ``engine="per-shot"``: the original one-tableau-per-shot reference
-  path.
+* ``engine="per-shot"``: the one-tableau-per-shot reference path (the
+  Aaronson–Gottesman oracle the frame engine is pinned to).
 
-All three produce bit-identical tallies at a fixed seed: pass/fail per
-shot is a deterministic function of the sampled fault configuration —
+Both produce bit-identical tallies at a fixed seed: pass/fail per shot
+is a deterministic function of the sampled fault configuration —
 random measurement outcomes are a gauge the feed-forward corrections
 cancel — and the fault configurations are drawn identically (sampling
 is separated from execution).  ``tests/sim/test_noisy.py`` pins the
-equivalence across engines, seeds, chunk sizes and noise grids;
-``benchmarks/bench_noisy.py`` gates batched >= 10x over per-shot and
-``benchmarks/bench_frame.py`` gates frame >= 10x over batched.
+equivalence across engines, seeds, frame chunk sizes and noise grids;
+``benchmarks/bench_frame.py`` gates frame >= 100x over per-shot.
 """
 
 from __future__ import annotations
@@ -73,7 +67,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,12 +91,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.compiler import CompiledProgram
     from repro.sim.frame import PauliFrameSimulator
 
-#: Default faulty shots per batched tableau chunk.  Peak chunk memory is
-#: about ``chunk * 2 * pattern_nodes`` sign bytes plus the per-node
-#: outcome vectors — a few MB at hundreds of nodes — while big enough to
-#: amortize the shared symplectic work across the whole chunk.
-DEFAULT_CHUNK_SHOTS = 512
-
 #: Default faulty shots per frame-engine chunk.  Frames pack 64 shots
 #: per uint64 word, and each measurement step costs a handful of
 #: word-vector XORs regardless of chunk size — so much larger chunks
@@ -111,7 +99,7 @@ DEFAULT_CHUNK_SHOTS = 512
 DEFAULT_FRAME_CHUNK_SHOTS = 1 << 16
 
 #: Engines `NoisySampler.run` accepts, fastest first.
-ENGINES = ("frame", "batched", "per-shot")
+ENGINES = ("frame", "per-shot")
 
 #: Random-key matrix budget (elements) per block when placing distinct
 #: measurement-flip slots; bounds peak memory at ~32 MB of float64 keys
@@ -181,8 +169,8 @@ class NoisySampleResult:
     shots that actually ran their fusion sequence — loss-aborted shots
     stop before their fusions and contribute nothing) and ``seconds``
     (wall time of the run).  ``engine`` records which execution path
-    produced the tally (``"frame"``, ``"batched"`` or ``"per-shot"``;
-    all bit-identical at a fixed seed).
+    produced the tally (``"frame"`` or ``"per-shot"``; bit-identical at
+    a fixed seed).
     """
 
     shots: int
@@ -273,7 +261,7 @@ class NoisySampleResult:
 
 
 class NoisySampler:
-    """Batched Monte-Carlo noisy executor for Clifford patterns.
+    """Monte-Carlo noisy executor for Clifford patterns.
 
     Args:
         circuit: the source circuit (defines the ideal output stabilizer
@@ -316,11 +304,9 @@ class NoisySampler:
     non-readout fault event execute, on the engine of choice: the
     default ``frame`` engine reduces them to bit-packed Pauli flip
     frames (:class:`repro.sim.frame.PauliFrameSimulator`; per-shot cost
-    independent of qubit count), ``batched`` runs chunks on one
-    shared-symplectic batched tableau
-    (:class:`repro.sim.stabilizer_batch.BatchedStabilizerState`), and
-    ``per-shot`` copies the base graph state per shot (the original
-    reference path).
+    independent of qubit count) in chunks of
+    ``DEFAULT_FRAME_CHUNK_SHOTS``, and ``per-shot`` copies the base
+    graph state per shot (the reference path).
     """
 
     def __init__(
@@ -491,42 +477,6 @@ class NoisySampler:
         result = simulator.run(prepared=(state, self._index))
         return self._stabilizers_hold(result)
 
-    def _execute_chunk(
-        self,
-        chunk: List[Tuple[tuple, frozenset]],
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Run a chunk of faulty shots on one batched tableau; returns
-        the per-shot boolean pass mask of the output stabilizer check."""
-        from repro.sim.pattern_sim import BatchedStabilizerPatternSimulator
-        from repro.sim.stabilizer_batch import BatchedStabilizerState
-
-        size = len(chunk)
-        state = BatchedStabilizerState.from_state(self._base, size)
-        state.rng = rng
-        flip_map: Dict[int, np.ndarray] = {}
-        for element, (pauli_faults, flips) in enumerate(chunk):
-            for qubit, kind in pauli_faults:
-                state.inject_pauli(element, qubit, kind)
-            for node in flips:
-                flip_map.setdefault(
-                    node, np.zeros(size, dtype=np.uint8)
-                )[element] = 1
-        simulator = BatchedStabilizerPatternSimulator(
-            self.pattern, outcome_flips=flip_map
-        )
-        result = simulator.run(prepared=(state, self._index))
-        ok = np.ones(size, dtype=bool)
-        for gx, gz, gr in self._circuit_rows:
-            pauli = result.output_pauli(self.pattern.outputs, gx, gz)
-            values = result.state.expectation(pauli)
-            if values is None:  # pragma: no cover - faults are sign-only
-                raise RuntimeError(
-                    "output stabilizer became random under sign-only faults"
-                )
-            ok &= values == gr
-        return ok
-
     def _place_flips(
         self, n_meas: np.ndarray, rng: np.random.Generator
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -598,22 +548,15 @@ class NoisySampler:
         self,
         shots: int,
         engine: str = "frame",
-        chunk_size: Optional[int] = None,
     ) -> NoisySampleResult:
         """Sample and execute *shots* noisy shots; returns the tally.
 
         Args:
             shots: number of Monte-Carlo shots (> 0).
             engine: ``"frame"`` (default) executes faulty shots as
-                bit-packed Pauli flip frames; ``"batched"`` runs them in
-                chunks on the shared-symplectic batched tableau;
-                ``"per-shot"`` is the original reference path.  Tallies
-                are bit-identical across the three at a fixed seed.
-            chunk_size: faulty shots per execution chunk (ignored by
-                ``per-shot``).  Defaults per engine: 64k for ``frame``
-                (~1k uint64 words per frame row), 512 for ``batched``
-                (bounding peak memory at roughly ``chunk_size * 2 *
-                pattern_nodes`` sign bytes).
+                bit-packed Pauli flip frames; ``"per-shot"`` is the
+                reference path.  Tallies are bit-identical across the
+                two at a fixed seed.
         """
         if shots <= 0:
             raise ValueError("shots must be positive")
@@ -621,14 +564,6 @@ class NoisySampler:
             raise ValueError(
                 f"unknown engine {engine!r}; use one of {', '.join(ENGINES)}"
             )
-        if chunk_size is None:
-            chunk_size = (
-                DEFAULT_FRAME_CHUNK_SHOTS
-                if engine == "frame"
-                else DEFAULT_CHUNK_SHOTS
-            )
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
         t0 = time.perf_counter()
         counts, model = self.counts, self.model
         rng = np.random.default_rng(self.seed)
@@ -715,8 +650,9 @@ class NoisySampler:
         successes = fault_free
         if engine == "frame" and executed:
             frame_sim = self._frame_simulator()
-            for start in range(0, executed, chunk_size):
-                stop = min(start + chunk_size, executed)
+            chunk = DEFAULT_FRAME_CHUNK_SHOTS
+            for start in range(0, executed, chunk):
+                stop = min(start + chunk, executed)
                 f_lo, f_hi = np.searchsorted(fault_shot, (start, stop))
                 l_lo, l_hi = np.searchsorted(flip_shot, (start, stop))
                 ok = frame_sim.run_shots(
@@ -732,40 +668,26 @@ class NoisySampler:
                 successes += passed
                 logical_failures += len(ok) - passed
         elif executed:
-            # the tableau engines want per-shot Python structures; build
+            # the per-shot engine wants per-shot Python structures; build
             # them from the flat placement arrays
             f_bounds = np.searchsorted(fault_shot, np.arange(executed + 1))
             l_bounds = np.searchsorted(flip_shot, np.arange(executed + 1))
-            pending: List[Tuple[tuple, frozenset]] = [
-                (
-                    tuple(
-                        (int(q), "xyz"[int(k)])
-                        for q, k in zip(
-                            fault_qubit[f_bounds[j] : f_bounds[j + 1]],
-                            fault_kind[f_bounds[j] : f_bounds[j + 1]],
-                        )
-                    ),
-                    frozenset(
-                        self._nodes[int(q)]
-                        for q in flip_qubit[l_bounds[j] : l_bounds[j + 1]]
-                    ),
-                )
-                for j in range(executed)
-            ]
-            if engine == "per-shot":
-                for pauli_faults, flips in pending:
-                    if self._execute_shot(rng, pauli_faults, flips):
-                        successes += 1
-                    else:
-                        logical_failures += 1
-            else:
-                for start in range(0, executed, chunk_size):
-                    ok = self._execute_chunk(
-                        pending[start : start + chunk_size], rng
+            for j in range(executed):
+                pauli_faults = tuple(
+                    (int(q), "xyz"[int(k)])
+                    for q, k in zip(
+                        fault_qubit[f_bounds[j] : f_bounds[j + 1]],
+                        fault_kind[f_bounds[j] : f_bounds[j + 1]],
                     )
-                    passed = int(ok.sum())
-                    successes += passed
-                    logical_failures += len(ok) - passed
+                )
+                flips = frozenset(
+                    self._nodes[int(q)]
+                    for q in flip_qubit[l_bounds[j] : l_bounds[j + 1]]
+                )
+                if self._execute_shot(rng, pauli_faults, flips):
+                    successes += 1
+                else:
+                    logical_failures += 1
 
         # loss-aborted shots stop before their fusion sequence, so their
         # pre-sampled attempt counts never happened and are not tallied
@@ -794,7 +716,6 @@ def sample_yield(
     counts: Optional[FaultCounts] = None,
     seed: Optional[int] = 7,
     engine: str = "frame",
-    chunk_size: Optional[int] = None,
     site_map: Optional[SiteNoiseMap] = None,
     site_profile: Optional[SiteProfile] = None,
 ) -> NoisySampleResult:
@@ -808,4 +729,4 @@ def sample_yield(
         site_map=site_map,
         site_profile=site_profile,
     )
-    return sampler.run(shots, engine=engine, chunk_size=chunk_size)
+    return sampler.run(shots, engine=engine)

@@ -384,7 +384,7 @@ class StabilizerState:
             mat[:, b >> 6] ^= diff << np.uint64(b & 63)
 
     # ------------------------------------------------------------------
-    # batched circuit application
+    # circuit application
     # ------------------------------------------------------------------
     def apply_gate(self, gate: "Gate") -> None:
         """Apply one circuit gate (duck-typed: ``name``/``qubits``/``params``).
@@ -587,10 +587,8 @@ _SINGLE_QUBIT_GATES: Dict[str, Tuple[str, ...]] = {
 
 
 def _dispatch_gate(state: "StabilizerState", gate: "Gate") -> None:
-    """Circuit-gate -> tableau-method dispatch, shared by the scalar and
-    batched engines (both expose the same gate-method names), so the
-    gate vocabulary and the rz/p quarter-turn lowering live exactly
-    once."""
+    """Circuit-gate -> tableau-method dispatch: the gate vocabulary and
+    the rz/p quarter-turn lowering live exactly once."""
     name = gate.name
     qubits = gate.qubits
     if name in _SINGLE_QUBIT_GATES:

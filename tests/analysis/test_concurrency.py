@@ -388,19 +388,23 @@ class TestLockOrderGraph:
         """) == frozenset()
 
 
+@pytest.fixture(scope="module")
+def repo_analyzer():
+    """One analyzer over all of ``src/repro`` (building it is the slow
+    part), shared by the repo gates."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+    assert src.is_dir()
+    analyzer = ConcurrencyAnalyzer()
+    analyzer.add_paths([src])
+    return analyzer
+
+
 class TestRepoGate:
-    def test_repo_source_has_zero_findings(self):
-        src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
-        assert src.is_dir()
-        analyzer = ConcurrencyAnalyzer()
-        analyzer.add_paths([src])
-        findings = analyzer.analyze()
+    def test_repo_source_has_zero_findings(self, repo_analyzer):
+        findings = repo_analyzer.analyze()
         assert findings == [], "\n".join(f.render() for f in findings)
 
-    def test_repo_static_lock_graph_is_acyclic(self):
+    def test_repo_static_lock_graph_is_acyclic(self, repo_analyzer):
         from repro.utils.sync import find_cycle
 
-        src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
-        analyzer = ConcurrencyAnalyzer()
-        analyzer.add_paths([src])
-        assert find_cycle(analyzer.lock_order_edges()) is None
+        assert find_cycle(repo_analyzer.lock_order_edges()) is None

@@ -154,6 +154,9 @@ class TestPolicyLadder:
         report = recover(circuit, program, site_map, config)
         assert report.recovered is False
         assert report.yield_degraded == 0.0
+        # the best rung (survive, yield 0) still carries its program
+        assert report.policy == "survive"
+        assert report.program is program
 
     def test_harmless_scenario_survives_in_place(self, setup):
         hardware, circuit, program = setup
@@ -171,6 +174,7 @@ class TestPolicyLadder:
         assert report.recovered is True
         assert report.policy == "survive"
         assert report.rerouted_fusions == 0
+        assert report.program is program
 
     def test_dead_rsg_collapse_recovered_by_reroute(self, setup):
         hardware, circuit, program = setup
@@ -187,6 +191,19 @@ class TestPolicyLadder:
         assert report.rerouted_fusions > 0
         assert report.yield_degraded >= 0.5 * report.yield_clean
         assert "recovered via reroute" in report.summary()
+        # the report carries the winning rung's program, identical to a
+        # fresh application of that rung
+        rerouted = apply_policy(
+            "reroute", circuit, program, site_map,
+            OneQConfig(hardware=hardware),
+        ).program
+        assert report.program is not None
+        assert report.program is not program
+        assert report.program.layouts == rerouted.layouts
+        assert report.program.fusions == rerouted.fusions
+        assert program_yield(report.program, site_map) == (
+            report.yield_degraded
+        )
 
     def test_recovered_yield_within_three_sigma_of_clean(self, setup):
         """End-to-end: Monte-Carlo sample the recovered program under

@@ -208,20 +208,21 @@ class TestNoisyStage:
         assert record.shots_per_second > 0.0
 
     def test_every_engine_reproduces_the_default_yields(self):
-        """RunSpec.mc_engine reaches the sampler; all three paths agree
-        bit for bit and the choice is part of the cache identity."""
+        """RunSpec.mc_engine reaches the sampler; both paths agree bit
+        for bit and the choice is part of the cache identity."""
         frame = execute_spec(RunSpec("BV", 8, shots=300))
-        for engine in ("batched", "per-shot"):
-            other = execute_spec(
-                RunSpec("BV", 8, shots=300, mc_engine=engine)
-            )
-            assert other.mc_engine == engine
-            assert other.yield_mc == frame.yield_mc
-            assert other.mc_attempts_per_fusion == frame.mc_attempts_per_fusion
-            assert (
-                RunSpec("BV", 8, shots=300).key()
-                != RunSpec("BV", 8, shots=300, mc_engine=engine).key()
-            )
+        other = execute_spec(
+            RunSpec("BV", 8, shots=300, mc_engine="per-shot")
+        )
+        assert other.mc_engine == "per-shot"
+        assert other.yield_mc == frame.yield_mc
+        assert other.mc_attempts_per_fusion == frame.mc_attempts_per_fusion
+        assert (
+            RunSpec("BV", 8, shots=300).key()
+            != RunSpec("BV", 8, shots=300, mc_engine="per-shot").key()
+        )
+        with pytest.raises(ValueError, match="engine"):
+            execute_spec(RunSpec("BV", 8, shots=300, mc_engine="batched"))
 
     def test_non_clifford_benchmark_analytic_only(self):
         record = execute_spec(RunSpec("QFT", 8, shots=200))

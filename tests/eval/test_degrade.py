@@ -70,6 +70,34 @@ class TestExecuteSpec:
         assert record.policy == "reroute"
         assert record.recovered is True
 
+    def test_auto_policy_applies_each_rung_once(self, monkeypatch):
+        """The ladder winner's program comes from the recovery report:
+        execute_spec applies each attempted rung exactly once (no second
+        apply_policy, i.e. no second compile for a recompile winner) and
+        samples the winner."""
+        import repro.core.recovery as recovery
+
+        calls = []
+        reports = []
+        apply_policy, recover = recovery.apply_policy, recovery.recover
+
+        def counting_apply(policy, *args, **kwargs):
+            calls.append(policy)
+            return apply_policy(policy, *args, **kwargs)
+
+        def capturing_recover(*args, **kwargs):
+            reports.append(recover(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(recovery, "apply_policy", counting_apply)
+        monkeypatch.setattr(recovery, "recover", capturing_recover)
+        record = execute_spec(spec_for("dead-rsg", 0.1, "auto", shots=200))
+        (report,) = reports
+        assert len(calls) == len(report.attempted)
+        assert tuple(calls) == report.attempted
+        assert record.policy == report.policy == "reroute"
+        assert record.shots == 200
+
     def test_no_scenario_leaves_columns_empty(self):
         record = execute_spec(
             RunSpec(benchmark="BV", num_qubits=8, include_baseline=False)

@@ -69,10 +69,16 @@ class FlakyStub:
     def close(self):
         self._stop.set()
         try:
+            # close() alone does not wake a thread blocked in accept()
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass
         self._thread.join(timeout=5)
+        assert not self._thread.is_alive(), "stub server thread hung"
 
 
 @pytest.fixture()

@@ -39,7 +39,7 @@ class TestNormalizeRequest:
             {"shots": 100},
             {"noise": {"cycle_loss": 0.01}},
             {"verify": True},
-            {"mc_engine": "batched"},
+            {"mc_engine": "per-shot"},
         ):
             other = normalize_request(
                 {"op": "compile", "benchmark": "QFT", **override}
@@ -71,6 +71,7 @@ class TestNormalizeRequest:
             {"benchmark": "QFT", "noise": {"cycle_loss": "high"}},
             {"benchmark": "QFT", "verify": "yes"},
             {"benchmark": "QFT", "mc_engine": "warp"},
+            {"benchmark": "QFT", "mc_engine": "batched"},
             {"benchmark": "QFT", "typo_field": 1},
             {"qasm": ""},
             {"qasm": "   "},
@@ -200,6 +201,61 @@ class TestCompileService:
             fresh = [r for r in responses if r["cache_tier"] is None]
             assert len(fresh) == 1
             assert svc.jobs_completed == 1
+
+    def test_failed_job_counted_once_for_all_joiners(self, tmp_path):
+        """Requests joining one failing single-flight job share a single
+        failure: only the owner counts it and retires the in-flight
+        entry (a joiner retiring it could drop a newer job's future)."""
+        from concurrent.futures import Future
+
+        job_future: Future = Future()
+
+        class HeldExecutor:
+            """Hands every submit the same future, completed by hand."""
+
+            def submit(self, fn, *args):
+                return job_future
+
+            def shutdown(self, wait=True):
+                pass
+
+        waiters = 4
+        with CompileService(workers=1, cache_dir=tmp_path) as svc:
+            svc._executor = HeldExecutor()
+            dispatched = threading.Semaphore(0)
+            dispatch = svc._dispatch
+
+            def counting_dispatch(key, job):
+                result = dispatch(key, job)
+                dispatched.release()
+                return result
+
+            svc._dispatch = counting_dispatch
+            request = {"op": "compile", "benchmark": "BV", "qubits": 6}
+            responses = [None] * waiters
+
+            def issue(slot):
+                responses[slot] = svc.handle(request)
+
+            threads = [
+                threading.Thread(target=issue, args=(slot,))
+                for slot in range(waiters)
+            ]
+            for thread in threads:
+                thread.start()
+            # every request owns or has joined the one future
+            for _ in range(waiters):
+                assert dispatched.acquire(timeout=10)
+            job_future.set_exception(RuntimeError("worker blew up"))
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert all(
+                r["error"]["code"] == "compile-error" for r in responses
+            )
+            stats = svc.stats()
+            assert stats["jobs_failed"] == 1
+            assert stats["inflight"] == 0
 
     def test_single_flight_under_sanitizer(self, tmp_path, lock_sanitizer):
         """Single-flight + torn-stat guarantees hold under TrackedLock.

@@ -1,7 +1,7 @@
 """Tests for the bit-packed Pauli-frame engine (`repro.sim.frame`).
 
-Engine-level equivalence against the tableau engines lives in
-``tests/sim/test_noisy.py`` (the three-engine property grid); this file
+Engine-level equivalence against the per-shot tableau engine lives in
+``tests/sim/test_noisy.py`` (the frame x per-shot property grid); this file
 covers the frame machinery itself: program compilation, the reference
 calibration, the flat vs list execution entry points, and the gauge
 reseed invariance.
@@ -230,6 +230,5 @@ class TestNoisySamplerIntegration:
 
     def test_other_engines_do_not_compile_the_frame_program(self):
         sampler = NoisySampler(get_benchmark("BV", 8), seed=3)
-        sampler.run(50, engine="batched")
         sampler.run(50, engine="per-shot")
         assert sampler._frame_sim is None

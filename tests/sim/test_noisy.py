@@ -14,7 +14,8 @@ from repro.core import compile_circuit, estimate_yield
 from repro.hardware import HardwareConfig
 from repro.hardware.noise import DEFAULT_NOISE, NoiseModel
 from repro.mbqc.translate import circuit_to_pattern
-from repro.sim.noisy import FaultCounts, NoisySampler, sample_yield
+from repro.sim import noisy
+from repro.sim.noisy import ENGINES, FaultCounts, NoisySampler, sample_yield
 
 QUIET = NoiseModel(
     fusion_success=1.0, fusion_error=0.0, cycle_loss=0.0, measurement_error=0.0
@@ -257,12 +258,12 @@ class TestEdgeCases:
         assert result.fusion_attempts == 0
         assert result.attempts_per_fusion == 1.0
 
-    def test_unknown_engine_and_chunk_size_rejected(self):
+    def test_unknown_engine_rejected(self):
         sampler = NoisySampler(get_benchmark("BV", 8), seed=1)
-        with pytest.raises(ValueError, match="engine"):
-            sampler.run(10, engine="warp")
-        with pytest.raises(ValueError, match="chunk_size"):
-            sampler.run(10, chunk_size=0)
+        assert ENGINES == ("frame", "per-shot")
+        for engine in ("warp", "batched"):
+            with pytest.raises(ValueError, match="engine"):
+                sampler.run(10, engine=engine)
 
 
 HEAVY = NoiseModel(
@@ -303,7 +304,7 @@ EQUIVALENCE_NOISE = {
 
 
 class TestEngineEquivalence:
-    """Every engine must reproduce the per-shot reference engine's
+    """The frame engine must reproduce the per-shot reference engine's
     tallies bit for bit at a fixed seed (the tentpole CI contract):
     pass/fail per shot is a deterministic function of the sampled fault
     configuration, and configurations are drawn identically — sampling
@@ -313,7 +314,7 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("seed", [0, 7, 123])
     @pytest.mark.parametrize("shots", [1, 137])
     def test_engines_identical_across_noise_grid(self, noise, seed, shots):
-        """frame x batched x per-shot, swept over seeds, shot counts
+        """frame x per-shot, swept over seeds, shot counts
         (including the degenerate single shot) and noise regimes
         (including all-faulty and zero-faulty)."""
         circuit = get_benchmark("BV", 10)
@@ -321,12 +322,11 @@ class TestEngineEquivalence:
         reference = NoisySampler(circuit, model=model, seed=seed).run(
             shots, engine="per-shot"
         )
-        for engine in ("frame", "batched"):
-            result = NoisySampler(circuit, model=model, seed=seed).run(
-                shots, engine=engine
-            )
-            assert tallies(result) == tallies(reference), (engine, noise)
-            assert result.engine == engine
+        result = NoisySampler(circuit, model=model, seed=seed).run(
+            shots, engine="frame"
+        )
+        assert tallies(result) == tallies(reference), noise
+        assert result.engine == "frame"
         if noise == "all-faulty":
             assert reference.executed == shots
         if noise == "zero-faulty":
@@ -336,7 +336,7 @@ class TestEngineEquivalence:
     def test_engines_match_heavy_noise_with_s_gates(self, seed):
         """A Clifford circuit with S gates measures in the Y basis too —
         the frame recurrence's (basis==Y)*s feed-forward term must agree
-        with the tableau engines there."""
+        with the per-shot tableau engine there."""
         import numpy as np
 
         from repro.circuit.circuit import Circuit
@@ -360,22 +360,23 @@ class TestEngineEquivalence:
             300, engine="per-shot"
         )
         assert scalar.executed > 150  # heavy noise exercises execution
-        for engine in ("frame", "batched"):
-            result = NoisySampler(circuit, model=HEAVY, seed=seed).run(
-                300, engine=engine
-            )
-            assert tallies(result) == tallies(scalar), engine
+        result = NoisySampler(circuit, model=HEAVY, seed=seed).run(
+            300, engine="frame"
+        )
+        assert tallies(result) == tallies(scalar)
 
-    @pytest.mark.parametrize("engine", ["frame", "batched"])
-    def test_chunk_boundaries_do_not_change_tallies(self, engine):
-        """Shots not divisible by the chunk size, chunk sizes of 1 and
-        larger-than-the-run: all bit-identical."""
+    def test_chunk_boundaries_do_not_change_tallies(self, monkeypatch):
+        """Shots not divisible by the frame chunk size, chunk sizes of 1
+        and larger-than-the-run: all bit-identical."""
         circuit = get_benchmark("BV", 10)
         sampler = NoisySampler(circuit, model=HEAVY, seed=3)
         reference = sampler.run(137, engine="per-shot")
         for chunk_size in (1, 16, 137, 10_000):
+            monkeypatch.setattr(
+                noisy, "DEFAULT_FRAME_CHUNK_SHOTS", chunk_size
+            )
             result = NoisySampler(circuit, model=HEAVY, seed=3).run(
-                137, engine=engine, chunk_size=chunk_size
+                137, engine="frame"
             )
             assert tallies(result) == tallies(reference), chunk_size
 

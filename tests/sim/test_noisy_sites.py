@@ -4,7 +4,7 @@ The contract the degradation layer rides on: a *uniform* SiteNoiseMap
 must be indistinguishable from the scalar ``NoiseModel`` path — same
 RNG consumption, bit-identical tallies at a fixed seed, on every
 engine.  Heterogeneous maps sample per-site rates (grouped Poisson-
-binomial draws); all three engines must still agree with each other and
+binomial draws); both engines must still agree with each other and
 the tally must agree with the per-site closed form within 3 sigma.
 """
 
@@ -111,7 +111,7 @@ class TestHeterogeneousSampling:
             )
             for engine in ENGINES
         ]
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
 
     def test_agrees_with_per_site_closed_form(self, hetero):
         circuit, program, site_map = hetero

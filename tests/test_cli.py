@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.noisy import ENGINES as MC_ENGINES
 
 
 class TestParser:
@@ -132,13 +133,16 @@ class TestCommands:
         engine, and rejects unknown names at the parser."""
         args = build_parser().parse_args(["noise-sweep"])
         assert args.mc_engine == "frame"
-        for engine in ("frame", "batched", "per-shot"):
+        for engine in MC_ENGINES:
             parsed = build_parser().parse_args(
                 ["noise-sweep", "--mc-engine", engine]
             )
             assert parsed.mc_engine == engine
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["noise-sweep", "--mc-engine", "warp"])
+        for engine in ("warp", "batched"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["noise-sweep", "--mc-engine", engine]
+                )
 
     def test_bench_cache_reused(self, tmp_path, capsys):
         args = [
