@@ -17,7 +17,14 @@ and everything under ``docs/``:
    path under ``src/``, and when the reference carries an attribute
    suffix (``repro.sim.frame.FrameProgram``), the first attribute is
    defined in that module's source — so renaming or deleting a class
-   breaks the doc check, not just deleting the file.
+   breaks the doc check, not just deleting the file;
+4. every backticked ``ClassName.attr`` or ``ClassName(attr=...)`` span
+   whose class is defined under ``src/repro`` names an attribute of
+   that class — a field, class attribute, method or ``self.attr``
+   assignment in its body — so docs still citing a deleted config field
+   or method fail the check.  Classes not defined under ``src/repro``,
+   and classes with a base class (whose inherited attributes a textual
+   scan cannot see), are ignored.
 
 Exits non-zero with a per-problem report when anything is broken, so
 docs rot fails CI instead of accumulating.
@@ -25,10 +32,12 @@ docs rot fails CI instead of accumulating.
 
 from __future__ import annotations
 
+import ast
+import functools
 import pathlib
 import re
 import sys
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -37,6 +46,9 @@ DOC_FILES = ["README.md", "PAPER.md", "PAPERS.md", "CHANGES.md"]
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FILE_REF_RE = re.compile(r"`((?:src|docs|tests|benchmarks|scripts|examples)/[\w./-]+)`")
 MODULE_REF_RE = re.compile(r"`(repro(?:\.\w+)+)")
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+CLASS_ATTR_RE = re.compile(r"([A-Z]\w*)(?:\.(\w+)(?:[.(].*)?|\((.*)\))")
+KWARG_RE = re.compile(r"[(,]\s*(\w+)\s*=(?!=)")
 
 
 def doc_paths() -> List[pathlib.Path]:
@@ -71,6 +83,66 @@ def iter_problems(path: pathlib.Path) -> Iterator[Tuple[int, str]]:
             problem = _module_problem(dotted)
             if problem is not None:
                 yield lineno, problem
+        for match in CODE_SPAN_RE.finditer(line):
+            for problem in _class_attr_problems(match.group(1)):
+                yield lineno, problem
+
+
+def _class_attr_problems(span: str) -> Iterator[str]:
+    """Problems with a ``Class.attr`` / ``Class(attr=...)`` code span."""
+    match = CLASS_ATTR_RE.fullmatch(span.strip())
+    if match is None:
+        return
+    cls, attr, call_args = match.groups()
+    known = class_attributes().get(cls)
+    if known is None:  # not a src/repro class: nothing to check against
+        return
+    names = [attr] if attr else KWARG_RE.findall("(" + call_args)
+    for name in names:
+        if name not in known:
+            yield (
+                f"stale attribute reference: `{span}` "
+                f"({name!r} is not an attribute of {cls})"
+            )
+
+
+@functools.lru_cache(maxsize=None)
+def class_attributes() -> Dict[str, Set[str]]:
+    """Attribute names of every base-less class under ``src/repro``.
+
+    A class's attributes are the names bound in its body (fields, class
+    attributes, methods, nested classes) plus every ``self.attr`` it
+    assigns.  Same-named classes pool their attributes; one with a base
+    class makes the name unchecked.
+    """
+    attrs: Dict[str, Set[str]] = {}
+    derived: Set[str] = set()
+    for path in sorted((ROOT / "src" / "repro").glob("**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if node.bases:
+                derived.add(node.name)
+            names = attrs.setdefault(node.name, set())
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    names.add(stmt.name)
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    names.update(
+                        sub.id for sub in ast.walk(stmt)
+                        if isinstance(sub, ast.Name)
+                        and isinstance(sub.ctx, ast.Store)
+                    )
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                ):
+                    names.add(sub.attr)
+    return {cls: names for cls, names in attrs.items() if cls not in derived}
 
 
 def _module_problem(dotted: str) -> "str | None":

@@ -43,6 +43,8 @@ MAX_PAYLOAD_BYTES = 4 * 1024 * 1024
 #:   unknown-op    request named an op the server does not implement
 #:   too-large     request payload exceeded the server's size cap
 #:   compile-error the compile job itself raised
+#:   worker-crashed the worker process running the job died (the pool
+#:                 is replaced; resubmitting the request is safe)
 #:   shutting-down server is draining and no longer accepts compiles
 ERROR_CODES = (
     "bad-frame",
@@ -51,6 +53,7 @@ ERROR_CODES = (
     "unknown-op",
     "too-large",
     "compile-error",
+    "worker-crashed",
     "shutting-down",
 )
 

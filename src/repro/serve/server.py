@@ -279,6 +279,11 @@ class ServerThread:
             self._finished.set()
 
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
+        """Stop the server and join its loop thread.
+
+        Raises :class:`RuntimeError` when the loop thread is still alive
+        after *timeout* seconds, so a hung shutdown never passes silently.
+        """
         loop = self._loop
         if loop is None or not loop.is_running():
             return
@@ -289,9 +294,14 @@ class ServerThread:
             future.result(timeout)
         except Exception:  # noqa: LR004 — best-effort stop: the loop may
             pass  # already be closing; _finished/join below still bound exit
-        self._finished.wait(timeout)
+        stopped = self._finished.wait(timeout)
         if self._thread is not None:
             self._thread.join(timeout)
+            stopped = not self._thread.is_alive()
+        if not stopped:
+            raise RuntimeError(
+                f"server loop thread did not stop within {timeout} s"
+            )
 
     def __enter__(self) -> "ServerThread":
         return self.start()

@@ -34,6 +34,7 @@ import json
 import os
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from typing import Any, Dict, Optional, Tuple
 
@@ -304,6 +305,8 @@ class CompileService:
         self._closed = False
         self.jobs_completed = 0
         self.jobs_failed = 0
+        #: broken executors (a worker died mid-flight) replaced so far
+        self.pool_restarts = 0
         self._started_at = time.time()
 
     # -- dispatch ------------------------------------------------------
@@ -351,8 +354,14 @@ class CompileService:
                 with self._lock:
                     self._inflight.pop(key, None)
                     self.jobs_failed += 1
+            # a dead worker breaks the whole pool: every job on it fails
+            # with BrokenProcessPool, and the next dispatch replaces it
+            code = (
+                "worker-crashed" if isinstance(exc, BrokenProcessPool)
+                else "compile-error"
+            )
             return error_response(
-                "compile-error", f"{type(exc).__name__}: {exc}", key=key
+                code, f"{type(exc).__name__}: {exc}", key=key
             )
         if owner:
             self.store.put(key, artifact)
@@ -387,7 +396,12 @@ class CompileService:
                 self._executor = ProcessPoolExecutor(max_workers=self.workers)
             try:
                 future = self._executor.submit(compile_job, job)
-            except RuntimeError:  # pool already shut down
+            except BrokenProcessPool:  # a worker died: start a fresh pool
+                self._executor.shutdown(wait=False)
+                self._executor = ProcessPoolExecutor(max_workers=self.workers)
+                self.pool_restarts += 1
+                future = self._executor.submit(compile_job, job)
+            except RuntimeError:  # interpreter is shutting down
                 return None, False
             self._inflight[key] = future
             return future, True
@@ -398,12 +412,14 @@ class CompileService:
             inflight = len(self._inflight)
             jobs_completed = self.jobs_completed
             jobs_failed = self.jobs_failed
+            pool_restarts = self.pool_restarts
         return {
             "workers": self.workers,
             "jobs_completed": jobs_completed,
             "jobs_failed": jobs_failed,
             "inflight": inflight,
-    "uptime_seconds": round(time.time() - self._started_at, 3),
+            "pool_restarts": pool_restarts,
+            "uptime_seconds": round(time.time() - self._started_at, 3),
             "store": self.store.stats.as_dict(),
         }
 

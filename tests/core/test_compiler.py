@@ -143,39 +143,6 @@ class TestConfigPlumb:
         ).compile(qft(3))
         assert prog.num_fusions > 0
 
-    def test_route_targets_limit_plumbed(self, small_hardware):
-        """The previously hardcoded routed-candidate cap is configurable."""
-        from repro.core.mapping import InLayerMapper
-
-        cfg = OneQConfig(hardware=small_hardware, route_targets_limit=1)
-
-        def targets(limit):
-            mapper = InLayerMapper(
-                shape=cfg.hardware.extended_shape,
-                resource_state=cfg.hardware.resource_state,
-                route_targets_limit=limit,
-            )
-            mapper._open_layer()
-            return mapper._routed_targets((4, 4), needed=1)
-
-        # the cap is checked per BFS expansion (seed semantics), so it
-        # bounds growth rather than the exact count
-        assert len(targets(1)) < len(targets(6))
-        prog = OneQCompiler(cfg).compile(qft(4))
-        assert prog.num_fusions > 0
-
-    def test_connect_radius_plumbed(self, small_hardware):
-        """Bounding placed-to-placed routing defers long in-layer routes."""
-        c = qft(6)
-        unbounded = OneQCompiler(
-            OneQConfig(hardware=small_hardware)
-        ).compile(c)
-        bounded = OneQCompiler(
-            OneQConfig(hardware=small_hardware, connect_radius=1)
-        ).compile(c)
-        assert bounded.fusions.routing <= unbounded.fusions.routing
-        assert bounded.num_fusions > 0
-
 
 class TestPhotonBudget:
     def test_settle_balance_positive(self):

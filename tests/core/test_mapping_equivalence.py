@@ -9,6 +9,7 @@ partitions, ranks) must match bit-for-bit on the Table-2 grid and on
 randomized graphs.
 """
 
+import random
 from collections import deque
 from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple
@@ -44,13 +45,15 @@ class ReferenceMapper(InLayerMapper):
     def _on_occupy(self, coord: Coord) -> None:  # no cache to maintain
         pass
 
-    def _bfs_path(
+    def _bfs_path(self, start: Coord, goal: Coord) -> Optional[List[Coord]]:
+        return self._seed_bfs_path(start, lambda nxt, cur: nxt == goal)
+
+    def _seed_bfs_path(
         self,
         start: Coord,
         goal_test,
         max_len: Optional[int] = None,
         avoid: Optional[Set[Coord]] = None,
-        goal: Optional[Coord] = None,  # packed-path hint; scalar BFS ignores it
     ) -> Optional[List[Coord]]:
         avoid = avoid or set()
         queue = deque([start])
@@ -310,6 +313,88 @@ class TestMapperEquivalence:
             assert lo.node_at == lr.node_at
             assert lo.aux_cells == lr.aux_cells
             assert lo.paths == lr.paths
+
+
+class TestBfsPathEquivalence:
+    """The packed ``_bfs_path`` == the seed scalar BFS on random grids."""
+
+    SHAPES = [(2, 2), (2, 9), (7, 3), (5, 5), (8, 13), (12, 12), (16, 5)]
+
+    @staticmethod
+    def _pair(shape, occupied):
+        return (
+            InLayerMapper(shape=shape, resource_state=THREE_LINE,
+                          blocked=occupied),
+            ReferenceMapper(shape=shape, resource_state=THREE_LINE,
+                            blocked=occupied),
+        )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_occupancy_identical(self, seed):
+        rng = random.Random(seed)
+        outcomes = set()
+        for _ in range(250):
+            shape = rng.choice(self.SHAPES)
+            cells = [(r, c) for r in range(shape[0]) for c in range(shape[1])]
+            density = rng.choice([0.0, 0.15, 0.3, 0.45, 0.6])
+            occupied = {cell for cell in cells if rng.random() < density}
+            if len(occupied) == len(cells):
+                occupied.pop()
+            start, goal = rng.sample(cells, 2)
+            # the real caller routes between two placed (occupied) cells
+            if rng.random() < 0.5:
+                occupied |= {start, goal}
+                if len(occupied) == len(cells):
+                    continue
+            packed, seed_bfs = self._pair(shape, occupied)
+            path = packed._bfs_path(start, goal)
+            assert path == seed_bfs._seed_bfs_path(
+                start, lambda nxt, cur: nxt == goal
+            )
+            outcomes.add((path is None, start in occupied))
+        # every seed exercises both found and unreachable goals
+        assert {found for found, _ in outcomes} == {True, False}
+
+    @pytest.mark.parametrize("shape", [(5, 5), (7, 3), (9, 6)])
+    def test_equal_detours_break_ties_like_the_seed(self, shape):
+        """A wall down the middle column with gaps in the top and bottom
+        rows leaves two equally short detours; both searches pick the
+        same one."""
+        rows, cols = shape
+        mid = cols // 2
+        wall = {(r, mid) for r in range(1, rows - 1)}
+        start, goal = (rows // 2, mid - 1), (rows // 2, mid + 1)
+        packed, seed_bfs = self._pair(shape, wall | {start, goal})
+        path = packed._bfs_path(start, goal)
+        assert path is not None and len(path) == 2 * (rows // 2) + 3
+        assert path == seed_bfs._seed_bfs_path(
+            start, lambda nxt, cur: nxt == goal
+        )
+
+    @pytest.mark.parametrize("shape", SHAPES[2:])
+    def test_walled_off_goal_is_none(self, shape):
+        rows, cols = shape
+        goal = (rows // 2, cols // 2)
+        start = (0, 0) if goal != (0, 0) else (rows - 1, cols - 1)
+        wall = {
+            (goal[0] + dr, goal[1] + dc)
+            for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1))
+            if 0 <= goal[0] + dr < rows and 0 <= goal[1] + dc < cols
+        } - {start}
+        packed, seed_bfs = self._pair(shape, wall | {start, goal})
+        assert packed._bfs_path(start, goal) is None
+        assert seed_bfs._seed_bfs_path(
+            start, lambda nxt, cur: nxt == goal
+        ) is None
+        # opening one wall cell makes the goal reachable again, by the
+        # same path in both searches
+        opened = sorted(wall)[0]
+        packed, seed_bfs = self._pair(shape, (wall - {opened}) | {start, goal})
+        path = packed._bfs_path(start, goal)
+        assert path is not None and path[-2] == opened
+        assert path == seed_bfs._seed_bfs_path(
+            start, lambda nxt, cur: nxt == goal
+        )
 
 
 class TestPartitionEquivalence:

@@ -112,6 +112,7 @@ class TestFraming:
         try:
             send_frame(a, payload)
             thread.join(10)
+            assert not thread.is_alive()
             assert received["frame"] == payload
         finally:
             a.close()

@@ -6,6 +6,7 @@ and oversized-payload rejection, graceful shutdown (in-flight jobs
 complete, queue drains).
 """
 
+import asyncio
 import socket
 import threading
 import time
@@ -158,6 +159,7 @@ class TestGracefulShutdown:
 
         for thread in threads:
             thread.join(60)
+            assert not thread.is_alive()
         assert errors == []
         # every in-flight job completed and delivered a real artifact
         assert sorted(responses) == [0, 1, 2]
@@ -185,3 +187,20 @@ class TestGracefulShutdown:
         handle = ServerThread(workers=1, cache_dir=tmp_path).start()
         handle.stop()
         handle.stop()  # second stop is a no-op, not an error
+
+    def test_stop_raises_when_loop_outlives_timeout(self, tmp_path):
+        """A stop that cannot finish in time is an error, not a silent
+        return with the loop thread still running."""
+        handle = ServerThread(workers=1, cache_dir=tmp_path).start()
+        real_stop = handle.server.stop
+
+        async def slow_stop(drain=True):
+            await asyncio.sleep(1.0)
+            await real_stop(drain=drain)
+
+        handle.server.stop = slow_stop
+        with pytest.raises(RuntimeError, match="did not stop within 0.1 s"):
+            handle.stop(timeout=0.1)
+        # the slow stop still completes; then the loop thread exits
+        handle._thread.join(30)
+        assert not handle._thread.is_alive()

@@ -257,6 +257,46 @@ class TestCompileService:
             assert stats["jobs_failed"] == 1
             assert stats["inflight"] == 0
 
+    def test_worker_crash_fails_job_then_pool_recovers(self, tmp_path):
+        """A SIGKILLed worker fails its in-flight job with
+        ``worker-crashed``; the broken pool is replaced, so the next
+        compile succeeds instead of every later request being refused."""
+        import multiprocessing
+        import os
+        import signal
+        import time
+
+        before = {p.pid for p in multiprocessing.active_children()}
+        with CompileService(workers=1, cache_dir=tmp_path) as svc:
+            responses = []
+            slow = {"op": "compile", "benchmark": "QFT", "qubits": 100}
+            thread = threading.Thread(
+                target=lambda: responses.append(svc.handle(slow))
+            )
+            thread.start()
+            workers = []
+            deadline = time.monotonic() + 30
+            while not workers and time.monotonic() < deadline:
+                workers = [
+                    p for p in multiprocessing.active_children()
+                    if p.pid not in before
+                ]
+                time.sleep(0.01)
+            assert workers, "the pool never started a worker"
+            os.kill(workers[0].pid, signal.SIGKILL)
+            thread.join(60)
+            assert not thread.is_alive()
+            [crashed] = responses
+            assert crashed["ok"] is False
+            assert crashed["error"]["code"] == "worker-crashed"
+
+            after = svc.handle({"op": "compile", "benchmark": "BV", "qubits": 6})
+            assert after["ok"], after
+            stats = svc.stats()
+            assert stats["pool_restarts"] == 1
+            assert stats["jobs_failed"] == 1
+            assert stats["inflight"] == 0
+
     def test_single_flight_under_sanitizer(self, tmp_path, lock_sanitizer):
         """Single-flight + torn-stat guarantees hold under TrackedLock.
 
