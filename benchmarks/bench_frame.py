@@ -68,8 +68,9 @@ def _tally(result):
 def run_engine(sampler: NoisySampler, shots: int, engine: str, warm=False):
     if warm:
         # steady-state throughput: a tiny warm-up run absorbs one-time
-        # costs (the frame-program compile, numpy dispatch warmup) that
-        # a real sweep amortizes over all of its chunks
+        # costs (numpy dispatch warmup) that a real sweep amortizes over
+        # all of its chunks; the frame program is compiled when the
+        # sampler is built, outside the timed runs
         sampler.run(max(1, min(64, shots)), engine=engine)
     t0 = time.perf_counter()
     result = sampler.run(shots, engine=engine)

@@ -51,6 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.coupling import HardwareConfig
     from repro.sim.frame import FrameProgram
 
+#: Findings kept per lint report (corrupt artifacts can cascade).
+MAX_ISSUES = 200
+
 
 @dataclass(frozen=True)
 class LintIssue:
@@ -141,13 +144,13 @@ class PatternLinter:
         certify: run the flow/gflow determinism search during pattern
             lints (on by default; the search is milliseconds even on
             thousand-node patterns).
-        max_issues: stop reporting after this many findings per artifact
-            (corrupt artifacts can cascade).
+
+    Each report keeps at most ``MAX_ISSUES`` findings per artifact
+    (corrupt artifacts can cascade).
     """
 
-    def __init__(self, certify: bool = True, max_issues: int = 200) -> None:
+    def __init__(self, certify: bool = True) -> None:
         self.certify = certify
-        self.max_issues = max_issues
 
     # ------------------------------------------------------------------
     # measurement patterns
@@ -260,7 +263,7 @@ class PatternLinter:
 
         return LintReport(
             artifact=name,
-            issues=issues[: self.max_issues],
+            issues=issues[:MAX_ISSUES],
             certificate=certificate,
         )
 
@@ -387,7 +390,7 @@ class PatternLinter:
                     _issue(issues, "R007", "check-range", which,
                            f"check references step {step_idx} outside "
                            f"[0, {len(program.steps)})")
-        return LintReport(artifact=name, issues=issues[: self.max_issues])
+        return LintReport(artifact=name, issues=issues[:MAX_ISSUES])
 
     @staticmethod
     def _dep_steps(
@@ -445,7 +448,7 @@ class PatternLinter:
                 for message in errors[:20]:
                     _issue(issues, "B003", "hardware-violation", None,
                            message)
-        return LintReport(artifact=artifact, issues=issues[: self.max_issues])
+        return LintReport(artifact=artifact, issues=issues[:MAX_ISSUES])
 
 
 def _dependency_cycle(

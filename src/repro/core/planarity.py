@@ -3,9 +3,13 @@
 Small resource states admit at most one routing path per coupling-graph
 location, so only planar graphs can be laid out on a single physical
 layer.  The compiler therefore (a) checks planarity when accumulating
-dependency layers into partitions, (b) decomposes non-planar layers into
-maximal planar edge-subgraphs, and (c) threads the planar embedding's
-rotational edge order through fusion-graph generation.
+dependency layers into partitions and (b) threads the planar embedding's
+rotational edge order through fusion-graph generation.  It does not
+decompose a dependency layer that is non-planar on its own: that layer
+becomes a partition by itself, and its fusion graph is built with no
+embedding order.  :func:`maximal_planar_subgraph` and
+:func:`planar_edge_decomposition` are library utilities the compile
+path does not call.
 """
 
 from __future__ import annotations

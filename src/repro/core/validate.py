@@ -40,6 +40,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 Coord = Tuple[int, int]
 
+#: Largest output register :func:`verify_pattern` hands a non-Clifford
+#: pattern to the dense statevector engine; beyond it ``method="auto"``
+#: falls back to static certification.
+MAX_DENSE_OUTPUTS = 12
+
 
 class ValidationError(AssertionError):
     """A compiled program violates a hardware constraint."""
@@ -168,16 +173,19 @@ def _verify_stabilizer(
         )
     circuit_state = StabilizerState(circuit.num_qubits)
     circuit_state.apply_circuit(circuit)
+    rows = circuit_state.stabilizer_rows()
     result = StabilizerPatternSimulator(pattern, seed=seed).run()
-    for wire, (gx, gz, gr) in enumerate(circuit_state.stabilizer_rows()):
-        pauli = result.output_pauli(pattern.outputs, gx, gz)
-        expected = result.state.expectation(pauli)
-        if expected != gr:
-            got = "random" if expected is None else f"sign {expected}"
-            return False, (
-                f"circuit stabilizer generator {wire} does not hold on the "
-                f"pattern output state (expected sign {gr}, got {got})"
-            )
+    wire = result.first_violated(pattern.outputs, rows)
+    if wire is not None:
+        gx, gz, gr = rows[wire]
+        expected = result.state.expectation(
+            result.output_pauli(pattern.outputs, gx, gz)
+        )
+        got = "random" if expected is None else f"sign {expected}"
+        return False, (
+            f"circuit stabilizer generator {wire} does not hold on the "
+            f"pattern output state (expected sign {gr}, got {got})"
+        )
     return True, (
         f"{circuit.num_qubits} circuit stabilizers hold on the "
         f"{result.state.n}-node tableau"
@@ -225,7 +233,6 @@ def verify_pattern(
     circuit: Circuit,
     pattern: Optional[MeasurementPattern] = None,
     seed: Optional[int] = 7,
-    max_dense_outputs: int = 12,
     method: str = "auto",
 ) -> PatternVerification:
     """Check that *pattern* (default: the translation of *circuit*)
@@ -234,7 +241,7 @@ def verify_pattern(
     ``method="auto"`` picks the strongest applicable engine: Clifford
     patterns go to the stabilizer engine regardless of size;
     non-Clifford patterns use the dense pattern simulator when the
-    output register has at most ``max_dense_outputs`` qubits; everything
+    output register has at most ``MAX_DENSE_OUTPUTS`` qubits; everything
     else falls back to the ``static`` method — flow-based determinism
     certification plus the pattern lint — instead of a bare skip.
     ``method`` can also force one engine: ``"stabilizer"``,
@@ -264,7 +271,7 @@ def verify_pattern(
         return PatternVerification(
             ok, "stabilizer", time.perf_counter() - t0, detail
         )
-    if method == "statevector" or len(pattern.outputs) <= max_dense_outputs:
+    if method == "statevector" or len(pattern.outputs) <= MAX_DENSE_OUTPUTS:
         try:
             ok, detail = _verify_statevector(circuit, pattern, seed)
         except RuntimeError as exc:  # active-window blowup and kin
@@ -280,7 +287,7 @@ def verify_pattern(
         "static",
         time.perf_counter() - t0,
         f"{len(pattern.outputs)} outputs exceed the dense limit "
-        f"({max_dense_outputs}); fell back to static certification: "
+        f"({MAX_DENSE_OUTPUTS}); fell back to static certification: "
         f"{detail}",
     )
 
@@ -383,20 +390,19 @@ def estimate_yield(
     from repro.sim.stabilizer import circuit_is_clifford
 
     model = model or DEFAULT_NOISE
-    if site_map is not None:
-        model = site_map.as_uniform_model() or site_map.base
     t0 = time.perf_counter()
     if pattern is None:
         pattern = circuit_to_pattern(circuit)
     if counts is None:
         counts = FaultCounts.from_pattern(pattern)
-    analytic = counts.analytic_yield(model)
     if not (pattern_is_clifford(pattern) and circuit_is_clifford(circuit)):
+        if site_map is not None:
+            model = site_map.as_uniform_model() or site_map.base
         return YieldEstimate(
             shots=0,
             yield_mc=None,
             fault_free_yield=None,
-            yield_analytic=analytic,
+            yield_analytic=counts.analytic_yield(model),
             sigma=0.0,
             method="analytic-only",
             seconds=time.perf_counter() - t0,
@@ -416,9 +422,7 @@ def estimate_yield(
         shots=shots,
         yield_mc=result.yield_mc,
         fault_free_yield=result.fault_free_yield,
-        yield_analytic=result.yield_analytic
-        if result.analytic_override is not None
-        else analytic,
+        yield_analytic=result.yield_analytic,
         sigma=result.sigma,
         method="mc-stabilizer",
         attempts_per_fusion=result.attempts_per_fusion,

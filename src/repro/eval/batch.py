@@ -465,24 +465,28 @@ def _sample_stage(
     }
 
 
-def _baseline_stage(spec: RunSpec, run: _Compiled) -> Columns:
-    """The baseline interpreter on the same circuit and resource state."""
+def baseline_columns(
+    circuit: "Circuit",
+    program: "CompiledProgram",
+    name: str,
+    resource_state: str,
+) -> Columns:
+    """The baseline interpreter on the same circuit and resource state,
+    compared against the OneQ *program* (run-table and serve-artifact
+    columns)."""
     from repro.baseline.interpreter import compile_baseline
     from repro.hardware.resource_state import get_resource_state
 
-    rst = get_resource_state(spec.resource_state)
+    rst = get_resource_state(resource_state)
     t0 = time.perf_counter()
-    baseline = compile_baseline(
-        run.circuit, name=spec.benchmark, resource_state=rst
-    )
+    baseline = compile_baseline(circuit, name=name, resource_state=rst)
     return {
         "baseline_seconds": time.perf_counter() - t0,
         "baseline_depth": baseline.depth,
         "baseline_fusions": baseline.num_fusions,
-        "depth_improvement": baseline.depth
-        / max(1, run.program.physical_depth),
+        "depth_improvement": baseline.depth / max(1, program.physical_depth),
         "fusion_improvement": baseline.num_fusions
-        / max(1, run.program.num_fusions),
+        / max(1, program.num_fusions),
     }
 
 
@@ -503,7 +507,11 @@ def execute_spec(spec: RunSpec) -> RunRecord:
     if spec.shots > 0:
         row.update(_sample_stage(spec, run, site_map, program))
     if spec.include_baseline:
-        row.update(_baseline_stage(spec, run))
+        row.update(
+            baseline_columns(
+                run.circuit, run.program, spec.benchmark, spec.resource_state
+            )
+        )
     return RunRecord(**row)
 
 

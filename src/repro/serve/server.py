@@ -42,12 +42,15 @@ from repro.serve.protocol import (
 )
 from repro.serve.service import CompileService
 
+#: Threads parking blocked compile requests, per server.
+MAX_SESSIONS = 64
+
 
 class CompileServer:
     """Serve a :class:`CompileService` over a TCP socket.
 
     ``port=0`` binds an ephemeral port; the bound port is available as
-    :attr:`port` after :meth:`start`.  ``max_sessions`` bounds the
+    :attr:`port` after :meth:`start`.  ``MAX_SESSIONS`` bounds the
     thread pool that parks blocked compile requests (each in-flight
     request occupies one thread while it waits on the worker pool).
     """
@@ -58,7 +61,6 @@ class CompileServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_payload: int = MAX_PAYLOAD_BYTES,
-        max_sessions: int = 64,
     ) -> None:
         self.service = service
         self.host = host
@@ -66,7 +68,7 @@ class CompileServer:
         self.max_payload = max_payload
         self._server: Optional[asyncio.base_events.Server] = None
         self._sessions: ThreadPoolExecutor = ThreadPoolExecutor(
-            max_workers=max_sessions, thread_name_prefix="serve-session"
+            max_workers=MAX_SESSIONS, thread_name_prefix="serve-session"
         )
         self._connections: Set[asyncio.Task] = set()
         self._draining = False

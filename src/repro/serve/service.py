@@ -45,7 +45,7 @@ from repro.utils.sync import make_lock
 
 #: bump when the artifact payload shape changes: stale disk entries
 #: then read as misses instead of surfacing old-shape artifacts
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 _VALID_RESOURCE_STATES = ("3-line", "4-line", "4-star", "4-ring")
 _VALID_BENCHMARKS = ("QFT", "QAOA", "RCA", "BV")
@@ -246,7 +246,19 @@ def _compile_qasm_job(job: Dict[str, Any]) -> Dict[str, Any]:
         "yield_analytic": None,
         "yield_mc": None,
         "shots": 0,
+        "baseline_depth": None,
+        "baseline_fusions": None,
+        "depth_improvement": None,
+        "fusion_improvement": None,
     }
+    if job["include_baseline"]:
+        from repro.eval.batch import baseline_columns
+
+        artifact.update(
+            baseline_columns(
+                circuit, program, job["name"], job["resource_state"]
+            )
+        )
     if job["verify"]:
         from repro.core.validate import verify_pattern
 
@@ -285,7 +297,6 @@ class CompileService:
     def __init__(
         self,
         workers: Optional[int] = None,
-        store: Optional[ArtifactStore] = None,
         cache_dir: Optional[Any] = None,
         memory_capacity: int = 256,
     ) -> None:
@@ -294,7 +305,7 @@ class CompileService:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.store = store or ArtifactStore(
+        self.store = ArtifactStore(
             cache_dir=cache_dir,
             memory_capacity=memory_capacity,
             schema_version=ARTIFACT_VERSION,

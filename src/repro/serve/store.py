@@ -59,7 +59,8 @@ def atomic_write_json(
     serialize to a pid/thread-unique temp file in the destination
     directory, then ``os.replace`` it into place, so a concurrent
     reader sees either the old complete file or the new complete file,
-    never a torn one.  The concurrency linter (CC402) flags raw
+    never a torn one.  A failed write (e.g. ``ENOSPC``) removes its temp
+    file and re-raises.  The concurrency linter (CC402) flags raw
     ``json.dump``/``write_text(json.dumps(...))`` sites that bypass it.
     """
     path = pathlib.Path(path)
@@ -67,8 +68,12 @@ def atomic_write_json(
     tmp = path.parent / (
         f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
     )
-    tmp.write_text(json.dumps(payload, indent=indent, default=str))
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(json.dumps(payload, indent=indent, default=str))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -82,6 +87,9 @@ class StoreStats:
     evictions: int = 0
     corrupt_reads: int = 0
     puts: int = 0
+    #: puts whose disk write failed (e.g. ENOSPC); the artifact stayed
+    #: in the memory tier only
+    disk_write_errors: int = 0
 
     @property
     def lookups(self) -> int:
@@ -102,6 +110,7 @@ class StoreStats:
             "evictions": self.evictions,
             "corrupt_reads": self.corrupt_reads,
             "puts": self.puts,
+            "disk_write_errors": self.disk_write_errors,
             "lookups": self.lookups,
             "hit_rate": self.hit_rate,
         }
@@ -285,20 +294,30 @@ class ArtifactStore:
 
     # -- publish -------------------------------------------------------
     def put(self, key: str, artifact: Dict[str, Any]) -> None:
-        """Publish *artifact* to both tiers (disk write is atomic)."""
+        """Publish *artifact* to both tiers (disk write is atomic).
+
+        A failed disk write (``OSError``, e.g. a full disk) degrades to
+        a memory-only put, counted in
+        :attr:`StoreStats.disk_write_errors`; it never raises.
+        """
         created_at = time.time()
         self._memory.put(key, (artifact, created_at))
+        disk_failed = False
         if self._disk is not None:
-            self._disk.store(
-                key,
-                {
-                    "schema_version": self.schema_version,
-                    "created_at": created_at,
-                    "artifact": artifact,
-                },
-            )
+            try:
+                self._disk.store(
+                    key,
+                    {
+                        "schema_version": self.schema_version,
+                        "created_at": created_at,
+                        "artifact": artifact,
+                    },
+                )
+            except OSError:
+                disk_failed = True
         with self._lock:
             self.stats.puts += 1
+            self.stats.disk_write_errors += int(disk_failed)
             self.stats.evictions = self._memory.evictions
 
     # -- maintenance ---------------------------------------------------

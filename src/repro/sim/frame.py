@@ -46,17 +46,20 @@ as ``(2n, ceil(shots/64))`` uint64 frame matrices (X rows and Z rows)
 plus a ``(steps, words)`` delta matrix: fault injection, measurement
 flips, feed-forward and byproduct corrections are all masked XOR/AND
 word operations, and per-shot cost is independent of qubit count.
-After each measurement the frame component along the measured operator
-is re-randomized (``P`` acts as +-1 on its own eigenstate): a fresh
-random reseed on the measured qubit keeps the frame *distribution*
-correct — tallies are invariant under it (measured qubits never feed
-the output checks), which the reseed-off regression test pins.
+A Stim-style engine re-randomizes the frame along each measured
+operator (``P`` acts as +-1 on its own eigenstate) so that the frames
+it hands out keep the right distribution.  This engine hands out only
+the pass mask, and that mask cannot see such a reseed: every qubit is
+measured exactly once, so a measured qubit's frame row is never read
+again by a later step, and measured qubits never feed an output check.
 
 :class:`PauliFrameSimulator` compiles the frame program by running the
 noiseless pattern once on the scalar tableau
 (:class:`repro.sim.pattern_sim.StabilizerPatternSimulator`) — the
-calibration run that anchors the reference — and then executes faulty
-chunks via :meth:`PauliFrameSimulator.run_chunk`.
+reference run every frame is relative to, which also proves that a
+fault-free shot passes — and then executes faulty shots via
+:meth:`PauliFrameSimulator.run_shots`, a pure function of the fault
+arrays.
 ``NoisySampler.run(engine="frame")`` is the production entry point;
 ``tests/sim/test_noisy.py`` pins frame tallies bit-identical to the
 per-shot engine and ``benchmarks/bench_frame.py`` gates the speedup
@@ -77,9 +80,6 @@ from repro.sim.pattern_sim import (
     pattern_is_clifford,
 )
 from repro.sim.stabilizer import StabilizerState, _bit_positions, _unpack_bits
-
-_U64_MAX = np.iinfo(np.uint64).max
-_ONE = np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -241,13 +241,8 @@ class PauliFrameSimulator:
         prepared: optional ``(state, node->qubit)`` base graph-state
             tableau; consumed by the reference run.  Defaults to a fresh
             :meth:`StabilizerState.graph_state` build.
-        seed: seeds the reference run's (gauge) outcome draws and the
-            default reseed stream of :meth:`run_chunk`.
-        reseed: draw a fresh random frame component along each measured
-            operator after its measurement (the Stim-style gauge
-            randomization that keeps the frame distribution correct).
-            Tallies are invariant either way — measured qubits never
-            feed the output checks — so ``False`` skips the draws.
+        seed: seeds the reference run's (gauge) outcome draws, i.e.
+            ``reference_outcomes``; the pass masks do not depend on it.
 
     Attributes:
         program: the compiled :class:`FrameProgram`.
@@ -264,7 +259,6 @@ class PauliFrameSimulator:
         ] = None,
         prepared: Optional[Tuple[StabilizerState, Dict[int, int]]] = None,
         seed: Optional[int] = None,
-        reseed: bool = True,
     ) -> None:
         if (circuit is None) == (circuit_rows is None):
             raise ValueError("pass exactly one of circuit / circuit_rows")
@@ -288,8 +282,6 @@ class PauliFrameSimulator:
                 f"{len(pattern.outputs)} pattern outputs"
             )
         self.pattern = pattern
-        self.reseed = reseed
-        self.rng = np.random.default_rng(seed)
 
         if prepared is None:
             state, index = StabilizerState.graph_state(
@@ -306,14 +298,13 @@ class PauliFrameSimulator:
         result = StabilizerPatternSimulator(pattern).run(
             prepared=(state, index)
         )
-        for which, (gx, gz, gr) in enumerate(circuit_rows):
-            pauli = result.output_pauli(pattern.outputs, gx, gz)
-            if result.state.expectation(pauli) != gr:
-                raise RuntimeError(
-                    f"reference execution violates output stabilizer "
-                    f"generator {which}; the pattern does not implement "
-                    "the circuit"
-                )
+        which = result.first_violated(pattern.outputs, circuit_rows)
+        if which is not None:
+            raise RuntimeError(
+                f"reference execution violates output stabilizer "
+                f"generator {which}; the pattern does not implement "
+                "the circuit"
+            )
         self.reference_outcomes: Dict[int, int] = dict(result.outcomes)
         # measured tableau qubit -> step index (-1: output, never a step)
         self._step_of_qubit = np.full(self.program.num_qubits, -1, np.int64)
@@ -325,7 +316,6 @@ class PauliFrameSimulator:
     def run_chunk(
         self,
         chunk: Sequence[Tuple[Iterable[Tuple[int, str]], Iterable[int]]],
-        rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
         """Execute a chunk of faulty shots; returns the (len(chunk),)
         boolean pass mask of the output stabilizer checks.
@@ -354,7 +344,6 @@ class PauliFrameSimulator:
             np.asarray(fault_shot, dtype=np.int64),
             np.asarray(flip_qubit, dtype=np.int64),
             np.asarray(flip_shot, dtype=np.int64),
-            rng,
         )
 
     def run_shots(
@@ -365,7 +354,6 @@ class PauliFrameSimulator:
         fault_shot: np.ndarray,
         flip_qubit: np.ndarray,
         flip_shot: np.ndarray,
-        rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
         """Execute *num_shots* faulty shots from flat fault arrays;
         returns the ``(num_shots,)`` boolean pass mask.
@@ -376,13 +364,11 @@ class PauliFrameSimulator:
         complements the recorded outcome of the measured tableau qubit
         ``flip_qubit[e]`` on shot ``flip_shot[e]`` (a detector error —
         output qubits are rejected, their readout flips are classical
-        failures the caller tallies without executing).  *rng* feeds
-        the gauge reseeds only: the pass mask is a deterministic
-        function of the fault arrays.
+        failures the caller tallies without executing).  The mask is a
+        pure function of the fault arrays.
         """
         if num_shots == 0:
             return np.zeros(0, dtype=bool)
-        rng = rng if rng is not None else self.rng
         program = self.program
         words = (num_shots + 63) >> 6
         frame_x = np.zeros((program.num_qubits, words), dtype=np.uint64)
@@ -417,15 +403,6 @@ class PauliFrameSimulator:
                     row ^= delta[dep]
             for dep in step.z_deps:  # sign feed-forward: t parity
                 row ^= delta[dep]
-            if self.reseed:
-                # the measured operator acts as +-1 on its own
-                # eigenstate: randomize the frame along it
-                words_r = rng.integers(
-                    0, _U64_MAX, size=words, dtype=np.uint64, endpoint=True
-                )
-                frame_x[step.qubit] ^= words_r
-                if step.y_basis:
-                    frame_z[step.qubit] ^= words_r
 
         failed = np.zeros(words, dtype=np.uint64)
         for check in program.checks:

@@ -38,9 +38,9 @@ Sampled fault channels, per shot (probabilities are per event):
 
 Shots with zero fault events never touch the tableau: a fault-free
 execution deterministically passes the stabilizer check (verified once
-per sampler as a calibration shot), so only faulty shots pay for a full
-tableau run.  At realistic error rates this makes large shot counts
-cheap.
+per sampler by the frame engine's noiseless reference run), so only
+faulty shots pay for execution.  At realistic error rates this makes
+large shot counts cheap.
 
 Faulty shots themselves run on one of two engines:
 
@@ -80,8 +80,8 @@ from repro.hardware.degradation import (
 )
 from repro.hardware.noise import DEFAULT_NOISE, NoiseModel, success_probability
 from repro.mbqc.pattern import MeasurementPattern
+from repro.sim.frame import PauliFrameSimulator
 from repro.sim.pattern_sim import (
-    StabilizerPatternResult,
     StabilizerPatternSimulator,
     pattern_is_clifford,
 )
@@ -89,7 +89,6 @@ from repro.sim.stabilizer import StabilizerState, non_clifford_gate_counts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.compiler import CompiledProgram
-    from repro.sim.frame import PauliFrameSimulator
 
 #: Default faulty shots per frame-engine chunk.  Frames pack 64 shots
 #: per uint64 word, and each measurement step costs a handful of
@@ -285,10 +284,10 @@ class NoisySampler:
             :class:`repro.hardware.degradation.SiteNoiseMap`.  When
             given it takes precedence over *model*: a map that is
             uniform (no dead sites, constant planes) collapses to its
-            scalar model and runs the unchanged scalar sampling path —
-            bit-identical to passing that ``NoiseModel`` directly —
-            while a heterogeneous map switches the fault-config sampler
-            to per-event probability vectors indexed by *site_profile*.
+            scalar model — bit-identical to passing that
+            ``NoiseModel`` directly — while a heterogeneous map samples
+            its fusion and photon-cycle channels from per-event rates
+            indexed by *site_profile*.
             A map assigning any fusion to a dead / zero-success site is
             rejected here (repeat-until-success never terminates there;
             the yield is exactly 0 — re-route or recompile instead).
@@ -297,15 +296,17 @@ class NoisySampler:
             required with a heterogeneous *site_map*, and its event
             counts must match *counts*.
 
-    Fault configurations for all shots are sampled vectorized up front,
-    and the shot classification (loss abort / fault free / readout
-    flip) is pure numpy mask algebra — tally-only shots never cost a
-    Python iteration.  Only shots with at least one non-loss,
-    non-readout fault event execute, on the engine of choice: the
-    default ``frame`` engine reduces them to bit-packed Pauli flip
-    frames (:class:`repro.sim.frame.PauliFrameSimulator`; per-shot cost
-    independent of qubit count) in chunks of
-    ``DEFAULT_FRAME_CHUNK_SHOTS``, and ``per-shot`` copies the base
+    Every channel is sampled from per-event rate vectors (constant
+    for a scalar model), grouped by rate into one binomial draw per
+    distinct value.  Fault configurations for all shots are sampled
+    vectorized up front, and the shot classification (loss abort /
+    fault free / readout flip) is pure numpy mask algebra — tally-only
+    shots never cost a Python iteration.  Only shots with at least one
+    non-loss, non-readout fault event execute, on the engine of choice:
+    the default ``frame`` engine reduces them to bit-packed Pauli flip
+    frames (:class:`repro.sim.frame.PauliFrameSimulator`, built once in
+    ``__init__``; per-shot cost independent of qubit count) in chunks
+    of ``DEFAULT_FRAME_CHUNK_SHOTS``, and ``per-shot`` copies the base
     graph state per shot (the reference path).
     """
 
@@ -350,17 +351,13 @@ class NoisySampler:
         self.circuit = circuit
         self.pattern = pattern
         self.counts = counts or FaultCounts.from_pattern(pattern)
-        # per-site sampling state: probability vectors indexed per fault
-        # event (None -> scalar path), plus the per-site closed form
-        self._site_rates: Optional[
-            Tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = None
+        # per-event (loss, fusion error, fusion success) rates of a
+        # heterogeneous site map, plus its per-site closed form
+        site_rates: Optional[Tuple[np.ndarray, ...]] = None
         self._analytic_override: Optional[float] = None
         if site_map is not None:
             uniform = site_map.as_uniform_model()
             if uniform is not None:
-                # uniform map == scalar model: run the unchanged scalar
-                # path so the tallies stay bit-identical to NoiseModel
                 model = uniform
             else:
                 if site_profile is None:
@@ -399,12 +396,11 @@ class NoisySampler:
                 assert site_map.fusion_error is not None
                 assert site_map.cycle_loss is not None
                 assert site_map.fusion_success is not None
-                self._site_rates = (
-                    site_map.fusion_error.ravel()[site_profile.fusion_sites],
+                fusion_sites = site_profile.fusion_sites
+                site_rates = (
                     site_map.cycle_loss.ravel()[site_profile.cycle_sites],
-                    site_map.fusion_success.ravel()[
-                        site_profile.fusion_sites
-                    ],
+                    site_map.fusion_error.ravel()[fusion_sites],
+                    site_map.fusion_success.ravel()[fusion_sites],
                 )
                 self._analytic_override = site_analytic_yield(
                     site_profile, site_map, self.counts.measurements
@@ -419,9 +415,30 @@ class NoisySampler:
                 "(expected_fusion_attempts reports inf) — nothing to "
                 "sample"
             )
+        if site_rates is None:
+            site_rates = (
+                np.full(self.counts.photon_cycles, model.cycle_loss),
+                np.full(self.counts.fusions, model.fusion_error),
+                np.full(self.counts.fusions, model.fusion_success),
+            )
+        loss, fusion_error, fusion_success = site_rates
+        # per-event rates in sampling draw order (loss, fusion error,
+        # measurement error, fusion success) as (distinct values,
+        # multiplicities); a scalar model is one group per channel, and
+        # the measurement channel stays scalar (readout is not a grid
+        # operation).  np.unique sorts, so the draw order — hence the
+        # tally at a fixed seed — is a pure function of each multiset.
+        self._rate_groups = tuple(
+            np.unique(rates, return_counts=True)
+            for rates in (
+                loss,
+                fusion_error,
+                np.full(self.counts.measurements, model.measurement_error),
+                fusion_success,
+            )
+        )
         self.seed = seed
-        self._frame_sim = None  # compiled lazily on first engine="frame"
-        self._outputs = frozenset(pattern.outputs)
+        outputs = frozenset(pattern.outputs)
         # node list in tableau-qubit order: graph_state sorts nodes, so
         # qubit i of the base tableau hosts self._nodes[i]
         self._nodes: List[int] = sorted(pattern.graph.nodes())
@@ -435,31 +452,22 @@ class NoisySampler:
         # readouts, which are classical by definition.
         slot_readout = np.ones(self.counts.measurements, dtype=bool)
         for slot in range(min(self.counts.measurements, len(self._nodes))):
-            slot_readout[slot] = self._nodes[slot] in self._outputs
+            slot_readout[slot] = self._nodes[slot] in outputs
         self._slot_readout = slot_readout
         circuit_state = StabilizerState(circuit.num_qubits)
         circuit_state.apply_circuit(circuit)
         self._circuit_rows = circuit_state.stabilizer_rows()
-        # calibration: a fault-free execution must pass the stabilizer
-        # check, or counting zero-fault shots as successes would be wrong
-        if not self._execute_shot(
-            np.random.default_rng(self.seed), (), frozenset()
-        ):
-            raise RuntimeError(
-                "fault-free execution failed the stabilizer check; "
-                "the pattern does not implement the circuit"
-            )
+        # the frame engine's noiseless reference run is the calibration:
+        # it raises unless a fault-free execution passes every output
+        # check, which is what lets zero-fault shots count as successes
+        self._frame_sim = PauliFrameSimulator(
+            pattern,
+            circuit_rows=self._circuit_rows,
+            prepared=(self._base.copy(), self._index),
+            seed=self.seed,
+        )
 
     # ------------------------------------------------------------------
-    def _stabilizers_hold(self, result: StabilizerPatternResult) -> bool:
-        """All ideal-circuit stabilizer generators hold, with sign, on
-        the pattern's output qubits."""
-        for gx, gz, gr in self._circuit_rows:
-            pauli = result.output_pauli(self.pattern.outputs, gx, gz)
-            if result.state.expectation(pauli) != gr:
-                return False
-        return True
-
     def _execute_shot(
         self,
         rng: np.random.Generator,
@@ -475,7 +483,10 @@ class NoisySampler:
             self.pattern, outcome_flips=outcome_flips
         )
         result = simulator.run(prepared=(state, self._index))
-        return self._stabilizers_hold(result)
+        return (
+            result.first_violated(self.pattern.outputs, self._circuit_rows)
+            is None
+        )
 
     def _place_flips(
         self, n_meas: np.ndarray, rng: np.random.Generator
@@ -522,27 +533,6 @@ class NoisySampler:
             np.concatenate(qubit_parts),
         )
 
-    def _frame_simulator(self) -> "PauliFrameSimulator":
-        """Compile (once) and return the bit-packed frame engine.
-
-        The simulator stays self-contained: its own reference run
-        re-checks the calibration this sampler's ``__init__`` already
-        proved (one extra scalar pattern execution, once per sampler)
-        and its gauge reseeds stay enabled even though this caller only
-        consumes the tally-invariant pass mask — the frames it would
-        hand out are distribution-correct either way.
-        """
-        if self._frame_sim is None:
-            from repro.sim.frame import PauliFrameSimulator
-
-            self._frame_sim = PauliFrameSimulator(
-                self.pattern,
-                circuit_rows=self._circuit_rows,
-                prepared=(self._base.copy(), self._index),
-                seed=self.seed,
-            )
-        return self._frame_sim
-
     # ------------------------------------------------------------------
     def run(
         self,
@@ -568,55 +558,28 @@ class NoisySampler:
         counts, model = self.counts, self.model
         rng = np.random.default_rng(self.seed)
 
-        def event_counts(n_events: int, rate: float) -> np.ndarray:
-            if n_events == 0 or rate <= 0.0:
-                return np.zeros(shots, dtype=np.int64)
-            return rng.binomial(n_events, min(rate, 1.0), size=shots)
-
-        def hetero_event_counts(rates: np.ndarray) -> np.ndarray:
-            # Poisson-binomial draw over per-event probabilities: group
-            # events by unique rate (site maps have few distinct values)
-            # and draw one binomial per group.  np.unique sorts, so the
-            # draw order — hence the tally at a fixed seed — is a pure
-            # function of the rate multiset.
+        def binomial_counts(
+            groups: Tuple[np.ndarray, np.ndarray]
+        ) -> np.ndarray:
+            # Poisson-binomial draw: one binomial per distinct rate
             out = np.zeros(shots, dtype=np.int64)
-            for value, group in zip(*np.unique(rates, return_counts=True)):
+            for value, group in zip(*groups):
                 if value > 0.0:
                     out += rng.binomial(
                         int(group), min(float(value), 1.0), size=shots
                     )
             return out
 
-        if self._site_rates is not None:
-            # heterogeneous site map: per-fusion / per-cycle rates are
-            # vectors indexed by the program's site assignment (the
-            # measurement channel stays scalar — readout is not a grid
-            # operation).  The engines downstream are untouched: they
-            # consume fault placements, never probabilities.
-            fe_rates, cl_rates, fs_rates = self._site_rates
-            losses = hetero_event_counts(cl_rates)
-            fusion_errors = hetero_event_counts(fe_rates)
-            meas_errors = event_counts(
-                counts.measurements, model.measurement_error
-            )
-            attempts = np.full(shots, counts.fusions, dtype=np.int64)
-            for value, group in zip(*np.unique(fs_rates, return_counts=True)):
-                if value < 1.0:  # init rejects 0-success assignments
-                    attempts += rng.negative_binomial(
-                        int(group), float(value), size=shots
-                    )
-        else:
-            losses = event_counts(counts.photon_cycles, model.cycle_loss)
-            fusion_errors = event_counts(counts.fusions, model.fusion_error)
-            meas_errors = event_counts(
-                counts.measurements, model.measurement_error
-            )
-            if counts.fusions and model.fusion_success < 1.0:
-                attempts = counts.fusions + rng.negative_binomial(
-                    counts.fusions, model.fusion_success, size=shots
+        loss_g, fusion_error_g, measurement_g, success_g = self._rate_groups
+        losses = binomial_counts(loss_g)
+        fusion_errors = binomial_counts(fusion_error_g)
+        meas_errors = binomial_counts(measurement_g)
+        attempts = np.full(shots, counts.fusions, dtype=np.int64)
+        for value, group in zip(*success_g):
+            if value < 1.0:  # init rejects 0-success assignments
+                attempts += rng.negative_binomial(
+                    int(group), float(value), size=shots
                 )
-            else:
-                attempts = np.full(shots, counts.fusions, dtype=np.int64)
 
         # shot classification is pure mask algebra: a lost shot aborts
         # whatever else it drew, and a shot with zero non-loss events is
@@ -649,20 +612,18 @@ class NoisySampler:
 
         successes = fault_free
         if engine == "frame" and executed:
-            frame_sim = self._frame_simulator()
             chunk = DEFAULT_FRAME_CHUNK_SHOTS
             for start in range(0, executed, chunk):
                 stop = min(start + chunk, executed)
                 f_lo, f_hi = np.searchsorted(fault_shot, (start, stop))
                 l_lo, l_hi = np.searchsorted(flip_shot, (start, stop))
-                ok = frame_sim.run_shots(
+                ok = self._frame_sim.run_shots(
                     stop - start,
                     fault_qubit[f_lo:f_hi],
                     fault_kind[f_lo:f_hi],
                     fault_shot[f_lo:f_hi] - start,
                     flip_qubit[l_lo:l_hi],
                     flip_shot[l_lo:l_hi] - start,
-                    rng,
                 )
                 passed = int(ok.sum())
                 successes += passed
@@ -706,27 +667,3 @@ class NoisySampler:
             engine=engine,
             analytic_override=self._analytic_override,
         )
-
-
-def sample_yield(
-    circuit: Circuit,
-    shots: int = 2000,
-    pattern: Optional[MeasurementPattern] = None,
-    model: NoiseModel = DEFAULT_NOISE,
-    counts: Optional[FaultCounts] = None,
-    seed: Optional[int] = 7,
-    engine: str = "frame",
-    site_map: Optional[SiteNoiseMap] = None,
-    site_profile: Optional[SiteProfile] = None,
-) -> NoisySampleResult:
-    """One-call convenience wrapper around :class:`NoisySampler`."""
-    sampler = NoisySampler(
-        circuit,
-        pattern=pattern,
-        model=model,
-        counts=counts,
-        seed=seed,
-        site_map=site_map,
-        site_profile=site_profile,
-    )
-    return sampler.run(shots, engine=engine)

@@ -294,6 +294,21 @@ class StabilizerPatternResult:
             pauli.z[qubit] = z[wire]
         return pauli
 
+    def first_violated(
+        self,
+        outputs: Sequence[int],
+        rows: Sequence[Tuple[np.ndarray, np.ndarray, int]],
+    ) -> Optional[int]:
+        """Index of the first ``(x, z, sign)`` stabilizer row (e.g. the
+        ideal circuit's :meth:`StabilizerState.stabilizer_rows`) that
+        does not hold, with its sign, on the *outputs* register; None
+        when every row holds."""
+        for which, (gx, gz, gr) in enumerate(rows):
+            pauli = self.output_pauli(outputs, gx, gz)
+            if self.state.expectation(pauli) != gr:
+                return which
+        return None
+
 
 class StabilizerPatternSimulator:
     """Executes a Clifford :class:`MeasurementPattern` on the CHP engine.

@@ -122,18 +122,15 @@ def lexmin_path(
     free: int,
     start: int,
     goal: int,
-    max_len: Optional[int] = None,
 ) -> Optional[List[int]]:
     """Shortest *start* → *goal* path with free interior, or ``None``.
 
     ``free`` is the bitboard of traversable cells; ``start`` and
     ``goal`` themselves may be occupied (they are endpoints, not
-    interior).  ``max_len`` bounds the path length in steps (a scalar
-    BFS that refuses to expand nodes at depth ``max_len`` finds the goal
-    only at depth ``<= max_len``).  The returned index path includes
-    both endpoints and is the lexicographically minimal direction string
-    among all shortest paths (see module docstring), i.e. exactly the
-    path the seed scalar BFS returns.
+    interior).  The returned index path includes both endpoints and is
+    the lexicographically minimal direction string among all shortest
+    paths (see module docstring), i.e. exactly the path the seed scalar
+    BFS returns.
     """
     stride = spec.stride
     full = spec.full
@@ -146,8 +143,6 @@ def lexmin_path(
     rlevels = [rfrontier]
     depth = 0
     while True:
-        if max_len is not None and depth >= max_len:
-            return None
         gen = (
             (rfrontier >> stride) | (rfrontier << stride)
             | (rfrontier >> 1) | (rfrontier << 1)

@@ -138,6 +138,47 @@ class TestCompileService:
         assert second["cache_tier"] == "memory"
         assert second["artifact"] == first["artifact"]
 
+    def test_qasm_request_honours_include_baseline(self, service):
+        """The flag is part of the job key, so it must change the
+        artifact: the baseline columns appear under the run-table
+        names the benchmark artifacts use."""
+        from dataclasses import fields
+
+        from repro.baseline.interpreter import compile_baseline
+        from repro.circuit import get_benchmark
+        from repro.circuit.qasm import from_qasm, to_qasm
+        from repro.eval.batch import RunRecord
+        from repro.hardware.resource_state import get_resource_state
+
+        qasm = to_qasm(get_benchmark("BV", 6, seed=7))
+        request = {"op": "compile", "qasm": qasm, "name": "bv6"}
+        plain = service.handle(request)
+        response = service.handle(dict(request, include_baseline=True))
+        assert response["ok"], response
+        assert response["key"] != plain["key"]
+        artifact = response["artifact"]
+        baseline = compile_baseline(
+            from_qasm(qasm),
+            name="bv6",
+            resource_state=get_resource_state("3-line"),
+        )
+        assert artifact["baseline_depth"] == baseline.depth
+        assert artifact["baseline_fusions"] == baseline.num_fusions
+        assert artifact["depth_improvement"] == pytest.approx(
+            baseline.depth / artifact["depth"]
+        )
+        assert artifact["fusion_improvement"] == pytest.approx(
+            baseline.num_fusions / artifact["num_fusions"]
+        )
+        columns = {
+            "baseline_depth",
+            "baseline_fusions",
+            "depth_improvement",
+            "fusion_improvement",
+        }
+        assert columns <= {f.name for f in fields(RunRecord)}
+        assert all(plain["artifact"][name] is None for name in columns)
+
     def test_yield_estimate_in_artifact(self, service):
         response = service.handle(
             {"op": "compile", "benchmark": "BV", "qubits": 6, "shots": 200}

@@ -6,16 +6,23 @@ accounting, atomic writes (no torn files under thread + process
 concurrency), and corruption-tolerant reads.
 """
 
+import errno
 import hashlib
 import json
 import multiprocessing
+import pathlib
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve.store import ArtifactStore, DiskTier, MemoryLRU
+from repro.serve.store import (
+    ArtifactStore,
+    DiskTier,
+    MemoryLRU,
+    atomic_write_json,
+)
 
 
 class TestMemoryLRU:
@@ -246,6 +253,67 @@ class TestDiskTierAtomicity:
         tier.path("bad").parent.mkdir(parents=True, exist_ok=True)
         tier.path("bad").write_text("{truncated")
         assert tier.load_checked("bad") == (None, True)
+
+
+def _fill_disk(monkeypatch):
+    """Every file write lands half its bytes, then fails with ENOSPC."""
+    real_write = pathlib.Path.write_text
+
+    def full_disk(self, data, *args, **kwargs):
+        real_write(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(pathlib.Path, "write_text", full_disk)
+
+
+class TestFullDisk:
+    def test_atomic_write_cleans_up_and_raises(self, tmp_path, monkeypatch):
+        """Run tables and BENCH files must still fail loudly, but leave
+        no temp file behind."""
+        _fill_disk(monkeypatch)
+        with pytest.raises(OSError) as exc:
+            atomic_write_json(tmp_path / "table.json", {"rows": [1, 2, 3]})
+        assert exc.value.errno == errno.ENOSPC
+        assert list(tmp_path.iterdir()) == []
+
+    def test_enospc_put_degrades_to_memory_only(self, tmp_path, monkeypatch):
+        from repro.serve.service import CompileService
+
+        store = ArtifactStore(cache_dir=tmp_path / "store", schema_version=1)
+        _fill_disk(monkeypatch)
+        store.put("k", _artifact("k"))  # must not raise
+        assert store.stats.disk_write_errors == 1
+        assert store.stats.puts == 1
+        hit = store.get("k")
+        assert hit is not None and hit.tier == "memory"
+        _verify_artifact(hit.artifact)
+        assert list((tmp_path / "store").iterdir()) == []  # no .tmp
+
+        cache = tmp_path / "serve"
+        with CompileService(workers=1, cache_dir=cache) as service:
+            response = service.handle(
+                {"op": "compile", "benchmark": "BV", "qubits": 6}
+            )
+            assert response["ok"], response
+            stats = service.stats()
+            assert stats["inflight"] == 0
+            assert stats["jobs_completed"] == 1
+            assert stats["store"]["disk_write_errors"] == 1
+            again = service.handle(
+                {"op": "compile", "benchmark": "BV", "qubits": 6}
+            )
+            assert again["cache_tier"] == "memory"
+        assert list(cache.iterdir()) == []
+
+    def test_batch_runner_finishes_on_full_disk(self, tmp_path, monkeypatch):
+        from repro.eval.batch import BatchRunner, RunSpec
+
+        _fill_disk(monkeypatch)
+        runner = BatchRunner(jobs=1, cache_dir=tmp_path)
+        records = runner.run([RunSpec("BV", 6, include_baseline=False)])
+        assert len(records) == 1 and records[0].depth >= 1
+        assert runner.store.stats.disk_write_errors == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 # -- concurrency stress -------------------------------------------------

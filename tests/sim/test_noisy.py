@@ -15,7 +15,7 @@ from repro.hardware import HardwareConfig
 from repro.hardware.noise import DEFAULT_NOISE, NoiseModel
 from repro.mbqc.translate import circuit_to_pattern
 from repro.sim import noisy
-from repro.sim.noisy import ENGINES, FaultCounts, NoisySampler, sample_yield
+from repro.sim.noisy import ENGINES, FaultCounts, NoisySampler
 
 QUIET = NoiseModel(
     fusion_success=1.0, fusion_error=0.0, cycle_loss=0.0, measurement_error=0.0
@@ -56,7 +56,7 @@ class TestAnalyticAgreement:
 
     def test_fault_free_rate_within_3_sigma(self):
         """>= 2000 shots on a Clifford benchmark, default noise model."""
-        result = sample_yield(get_benchmark("BV", 16), shots=2500, seed=11)
+        result = NoisySampler(get_benchmark("BV", 16), seed=11).run(2500)
         assert result.shots == 2500
         assert result.agrees_with_analytic(3.0), result.summary()
         # executed logical yield can only improve on the fault-free rate
@@ -70,9 +70,9 @@ class TestAnalyticAgreement:
         model = NoiseModel(
             fusion_error=0.0, cycle_loss=0.02, measurement_error=0.0
         )
-        result = sample_yield(
-            get_benchmark("BV", 16), shots=5000, model=model, seed=3
-        )
+        result = NoisySampler(
+            get_benchmark("BV", 16), model=model, seed=3
+        ).run(5000)
         assert result.yield_mc == result.fault_free_yield
         assert result.executed == 0  # heralded aborts never hit the tableau
         assert result.agrees_with_analytic(3.0), result.summary()
@@ -81,17 +81,14 @@ class TestAnalyticAgreement:
         """The bench plumbing path: fault counts from a compiled program."""
         circuit = get_benchmark("BV", 8)
         program = compile_circuit(circuit, HardwareConfig.square(8))
-        result = sample_yield(
-            circuit,
-            shots=2000,
-            counts=FaultCounts.from_program(program),
-            seed=17,
-        )
+        result = NoisySampler(
+            circuit, counts=FaultCounts.from_program(program), seed=17
+        ).run(2000)
         assert result.agrees_with_analytic(3.0), result.summary()
 
     def test_expected_fusion_attempts(self):
         """Repeat-until-success attempts average 1/fusion_success."""
-        result = sample_yield(get_benchmark("BV", 16), shots=2000, seed=5)
+        result = NoisySampler(get_benchmark("BV", 16), seed=5).run(2000)
         expected = 1.0 / DEFAULT_NOISE.fusion_success
         assert result.attempts_per_fusion == pytest.approx(expected, rel=0.05)
 
@@ -106,9 +103,9 @@ class TestAnalyticAgreement:
             cycle_loss=0.01,
             measurement_error=0.0,
         )
-        result = sample_yield(
-            get_benchmark("BV", 16), shots=3000, model=model, seed=13
-        )
+        result = NoisySampler(
+            get_benchmark("BV", 16), model=model, seed=13
+        ).run(3000)
         assert result.loss_aborts > 300  # the lossy regime is active
         assert result.completed == result.shots - result.loss_aborts
         assert result.attempts_per_fusion == pytest.approx(2.0, rel=0.05)
@@ -148,9 +145,9 @@ class TestDeterminism:
 
 class TestEdgeCases:
     def test_zero_noise_always_succeeds(self):
-        result = sample_yield(
-            get_benchmark("BV", 8), shots=300, model=QUIET, seed=1
-        )
+        result = NoisySampler(
+            get_benchmark("BV", 8), model=QUIET, seed=1
+        ).run(300)
         assert result.yield_mc == 1.0
         assert result.fault_free == 300
         assert result.executed == 0
@@ -159,9 +156,9 @@ class TestEdgeCases:
 
     def test_certain_loss_aborts_everything(self):
         model = NoiseModel(cycle_loss=1.0)
-        result = sample_yield(
-            get_benchmark("BV", 8), shots=200, model=model, seed=1
-        )
+        result = NoisySampler(
+            get_benchmark("BV", 8), model=model, seed=1
+        ).run(200)
         assert result.yield_mc == 0.0
         assert result.loss_aborts == 200
         assert result.yield_analytic == 0.0
@@ -171,9 +168,9 @@ class TestEdgeCases:
         model = NoiseModel(
             fusion_error=0.0, cycle_loss=0.0, measurement_error=1.0
         )
-        result = sample_yield(
-            get_benchmark("BV", 8), shots=100, model=model, seed=1
-        )
+        result = NoisySampler(
+            get_benchmark("BV", 8), model=model, seed=1
+        ).run(100)
         # every readout slot flips too, so no shot can succeed
         assert result.yield_mc == 0.0
         assert result.fault_free == 0
@@ -185,9 +182,9 @@ class TestEdgeCases:
         model = NoiseModel(
             fusion_error=0.5, cycle_loss=0.0, measurement_error=0.0
         )
-        result = sample_yield(
-            get_benchmark("BV", 8), shots=300, model=model, seed=9
-        )
+        result = NoisySampler(
+            get_benchmark("BV", 8), model=model, seed=9
+        ).run(300)
         assert result.logical_failures > 0
         assert result.yield_mc < 1.0
         assert result.yield_mc >= result.fault_free_yield
@@ -247,13 +244,12 @@ class TestEdgeCases:
             fusion_success=0.0, fusion_error=0.0, cycle_loss=0.0,
             measurement_error=0.0,
         )
-        result = sample_yield(
+        result = NoisySampler(
             get_benchmark("BV", 8),
-            shots=50,
             model=model,
             counts=FaultCounts(fusions=0, measurements=10, photon_cycles=10),
             seed=1,
-        )
+        ).run(50)
         assert result.yield_mc == 1.0
         assert result.fusion_attempts == 0
         assert result.attempts_per_fusion == 1.0
@@ -384,6 +380,63 @@ class TestEngineEquivalence:
         result = NoisySampler(get_benchmark("BV", 8), seed=5).run(100)
         assert result.engine == "frame"
         assert result.shots_per_second > 0.0
+
+
+#: Tallies ``(shots, successes, fault_free, loss_aborts,
+#: logical_failures, executed, fusion_attempts)`` of 500 shots at seed 7,
+#: as literals: any change to the sampler's draw order, rates or
+#: classification shows up here on both engines, not only as a
+#: frame/per-shot disagreement.
+GOLDEN_TALLIES = {
+    "default": (500, 453, 414, 9, 38, 73, 9779),
+    "heavy": (500, 89, 13, 5, 406, 404, 15032),
+    "uniform-map": (500, 89, 13, 5, 406, 404, 15032),
+    "degraded-fusion": (500, 353, 246, 30, 117, 223, 16097),
+}
+
+
+def _golden_sampler(case):
+    from repro.hardware.degradation import (
+        SiteNoiseMap,
+        make_scenario,
+        program_site_profile,
+    )
+
+    circuit = get_benchmark("BV", 10)
+    if case == "default":
+        return NoisySampler(circuit, model=DEFAULT_NOISE, seed=7)
+    if case == "heavy":
+        return NoisySampler(circuit, model=HEAVY, seed=7)
+    if case == "uniform-map":
+        site_map = SiteNoiseMap.uniform(HEAVY, (4, 4))
+        return NoisySampler(circuit, seed=7, site_map=site_map)
+    circuit = get_benchmark("BV", 8)
+    hardware = HardwareConfig.square(6)
+    program = compile_circuit(circuit, hardware)
+    site_map = make_scenario(
+        "degraded-fusion", hardware.extended_shape, 0.5,
+        base=DEFAULT_NOISE, seed=3,
+    )
+    assert site_map.as_uniform_model() is None
+    return NoisySampler(
+        circuit,
+        counts=FaultCounts.from_program(program),
+        seed=7,
+        site_map=site_map,
+        site_profile=program_site_profile(program, site_map.shape),
+    )
+
+
+class TestGoldenTallies:
+    """Fixed-seed tallies pinned as literals: scalar models, a uniform
+    site map (which collapses to its scalar model) and a heterogeneous
+    map all sample through the one per-event-rate path."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("case", sorted(GOLDEN_TALLIES))
+    def test_tallies_match_recorded_values(self, case, engine):
+        result = _golden_sampler(case).run(500, engine=engine)
+        assert tallies(result) == GOLDEN_TALLIES[case]
 
 
 class TestEstimateYield:
