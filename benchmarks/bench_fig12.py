@@ -6,7 +6,7 @@ Paper claim: OneQ achieves similar levels of improvement across 3-line,
 
 import pytest
 
-from repro.eval import compare_one, render_fig12
+from repro.eval import render_fig12, run_fig12
 from repro.hardware import RESOURCE_STATES
 
 from benchmarks.conftest import save_table
@@ -15,40 +15,37 @@ BENCHES = ("QFT", "QAOA", "RCA", "BV")
 _RESULTS = {}
 
 
+def _run(rst_name):
+    return run_fig12(
+        num_qubits=16, benchmarks=BENCHES, resource_states=(rst_name,)
+    )
+
+
 @pytest.mark.parametrize("rst_name", sorted(RESOURCE_STATES))
 def test_resource_state(benchmark, rst_name):
-    rst = RESOURCE_STATES[rst_name]
-
-    def run():
-        return [
-            compare_one(bench, 16, resource_state=rst) for bench in BENCHES
-        ]
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    _RESULTS[rst_name] = rows
-    for row in rows:
-        assert row.depth_improvement > 1, (rst_name, row.label)
-        assert row.fusion_improvement > 1, (rst_name, row.label)
+    records = benchmark.pedantic(_run, args=(rst_name,), rounds=1, iterations=1)
+    _RESULTS[rst_name] = records
+    for r in records:
+        assert r.depth_improvement > 1, (rst_name, r.label)
+        assert r.fusion_improvement > 1, (rst_name, r.label)
 
 
 def test_fig12_shape(benchmark, results_dir):
-    results = dict(_RESULTS)
-    for rst_name in RESOURCE_STATES:
-        if rst_name not in results:
-            rst = RESOURCE_STATES[rst_name]
-            results[rst_name] = [
-                compare_one(bench, 16, resource_state=rst) for bench in BENCHES
-            ]
-    benchmark.pedantic(render_fig12, args=(results,), rounds=1, iterations=1)
+    results = {
+        rst_name: _RESULTS.get(rst_name) or _run(rst_name)
+        for rst_name in RESOURCE_STATES
+    }
+    records = [r for per_rst in results.values() for r in per_rst]
+    benchmark.pedantic(render_fig12, args=(records,), rounds=1, iterations=1)
 
     # "similar levels of improvement" across resource states: per
     # benchmark, the best/worst fusion factor stays within one order.
-    for i, bench in enumerate(BENCHES):
-        factors = [results[r][i].fusion_improvement for r in results]
+    for bench in BENCHES:
+        factors = [r.fusion_improvement for r in records if r.benchmark == bench]
         assert max(factors) / min(factors) < 10, (bench, factors)
     # BV dominates for every resource state
-    for rst_name, rows in results.items():
-        by_bench = {row.name: row.fusion_improvement for row in rows}
+    for rst_name, per_rst in results.items():
+        by_bench = {r.benchmark: r.fusion_improvement for r in per_rst}
         assert by_bench["BV"] == max(by_bench.values()), rst_name
 
-    save_table(results_dir, "fig12", render_fig12(results))
+    save_table(results_dir, "fig12", render_fig12(records))

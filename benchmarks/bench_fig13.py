@@ -14,31 +14,30 @@ BENCHES = ("QFT", "QAOA", "RCA", "BV")
 _RESULTS = {}
 
 
+def _run(bench):
+    return run_fig13(num_qubits=16, benchmarks=(bench,))
+
+
 @pytest.mark.parametrize("bench", BENCHES)
 def test_bench_across_ratios(benchmark, bench):
-    result = benchmark.pedantic(
-        run_fig13, kwargs={"num_qubits": 16, "benchmarks": (bench,)},
-        rounds=1, iterations=1,
-    )
-    _RESULTS.update(result)
-    per_ratio = result[bench]
-    assert set(per_ratio) == {r for r, _ in FIG13_SHAPES}
+    records = benchmark.pedantic(_run, args=(bench,), rounds=1, iterations=1)
+    _RESULTS[bench] = records
+    assert {r.ratio for r in records} == {r for r, _ in FIG13_SHAPES}
 
 
 def test_fig13_shape(benchmark, results_dir):
-    results = dict(_RESULTS)
-    for bench in BENCHES:
-        if bench not in results:
-            results.update(run_fig13(num_qubits=16, benchmarks=(bench,)))
-    benchmark.pedantic(render_fig13, args=(results,), rounds=1, iterations=1)
+    records = [
+        r for bench in BENCHES for r in (_RESULTS.get(bench) or _run(bench))
+    ]
+    benchmark.pedantic(render_fig13, args=(records,), rounds=1, iterations=1)
 
     # normalized metrics stay within a small factor of the square layer
-    for bench, per_ratio in results.items():
-        square = per_ratio[1.0]
-        for ratio, prog in per_ratio.items():
-            norm_depth = prog.physical_depth / max(1, square.physical_depth)
-            norm_fusion = prog.num_fusions / max(1, square.num_fusions)
-            assert norm_depth < 3.0, (bench, ratio, norm_depth)
-            assert norm_fusion < 3.0, (bench, ratio, norm_fusion)
+    square = {r.benchmark: r for r in records if r.ratio == 1.0}
+    for r in records:
+        base = square[r.benchmark]
+        norm_depth = r.depth / max(1, base.depth)
+        norm_fusion = r.num_fusions / max(1, base.num_fusions)
+        assert norm_depth < 3.0, (r.benchmark, r.ratio, norm_depth)
+        assert norm_fusion < 3.0, (r.benchmark, r.ratio, norm_fusion)
 
-    save_table(results_dir, "fig13", render_fig13(results))
+    save_table(results_dir, "fig13", render_fig13(records))

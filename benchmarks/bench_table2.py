@@ -12,7 +12,13 @@ the asserted *shape* is the paper's headline:
 
 import pytest
 
-from repro.eval import PAPER_TABLE2, TABLE_BENCHMARKS, compare_one, render_table2
+from repro.eval import (
+    PAPER_TABLE2,
+    TABLE_BENCHMARKS,
+    RunSpec,
+    execute_spec,
+    render_table2,
+)
 
 from benchmarks.conftest import save_table
 
@@ -22,7 +28,7 @@ _ROWS = {}
 @pytest.mark.parametrize("name,num_qubits", TABLE_BENCHMARKS)
 def test_row(benchmark, name, num_qubits):
     row = benchmark.pedantic(
-        compare_one, args=(name, num_qubits), rounds=1, iterations=1
+        execute_spec, args=(RunSpec(name, num_qubits),), rounds=1, iterations=1
     )
     _ROWS[(name, num_qubits)] = row
     assert row.depth_improvement > 1
@@ -31,11 +37,12 @@ def test_row(benchmark, name, num_qubits):
 
 def test_table2_shape(benchmark, results_dir):
     rows = [
-        _ROWS.get((n, q)) or compare_one(n, q) for n, q in TABLE_BENCHMARKS
+        _ROWS.get((n, q)) or execute_spec(RunSpec(n, q))
+        for n, q in TABLE_BENCHMARKS
     ]
     benchmark.pedantic(render_table2, args=(rows,), rounds=1, iterations=1)
 
-    by_key = {(r.name, r.num_qubits): r for r in rows}
+    by_key = {(r.benchmark, r.num_qubits): r for r in rows}
 
     # orders of magnitude on the aggregate (paper abstract)
     for row in rows:
@@ -46,10 +53,7 @@ def test_table2_shape(benchmark, results_dir):
     f16 = {n: by_key[(n, 16)].fusion_improvement for n in ("QFT", "QAOA", "RCA", "BV")}
     assert f16["BV"] == max(f16.values())
     assert f16["QFT"] == min(f16.values())
-    d16 = {
-        n: by_key[(n, 16)].oneq.physical_depth
-        for n in ("QFT", "QAOA", "RCA", "BV")
-    }
+    d16 = {n: by_key[(n, 16)].depth for n in ("QFT", "QAOA", "RCA", "BV")}
     assert d16["BV"] == min(d16.values())
 
     # improvement stable or increasing with qubit count (paper Sec. 7.2)

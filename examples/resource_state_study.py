@@ -19,11 +19,11 @@ def main() -> None:
     print(render_fig12(results))
     print()
     # a peek at what the resource state changes under the hood
-    rows3 = {r.label: r for r in results["3-line"]}
-    rows4 = {r.label: r for r in results["4-star"]}
+    rows3 = {r.label: r for r in results if r.resource_state == "3-line"}
+    rows4 = {r.label: r for r in results if r.resource_state == "4-star"}
     for label in rows3:
-        s3 = rows3[label].oneq.fusions.synthesis
-        s4 = rows4[label].oneq.fusions.synthesis
+        s3 = rows3[label].synthesis
+        s4 = rows4[label].synthesis
         print(
             f"{label}: synthesis fusions {s3} (3-line) -> {s4} (4-star); "
             "higher-degree states need shorter chains"

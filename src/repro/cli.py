@@ -132,7 +132,7 @@ def cmd_table(args, which: str) -> int:
         benchmarks = None
         if quick:
             benchmarks = [("QFT", 16), ("QAOA", 16), ("RCA", 16), ("BV", 16)]
-        print(evaluation.render_table2(evaluation.run_table2(benchmarks)))
+        print(evaluation.render_table2(evaluation.run_grid(benchmarks, jobs=1)))
     elif which == "fig12":
         print(
             evaluation.render_fig12(
@@ -503,9 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
         "table1", "table2", "fig12", "fig13", "fig14", "fig15", "ablation",
     ):
         p = sub.add_parser(which)
-        p.add_argument("--qubits", type=int, default=16)
-        # only offer --quick where it actually changes the run: table1
-        # is already cheap, fig14/ablation run a single benchmark
+        # only offer --qubits where the runner reads it (the tables
+        # span the paper's fixed sizes), and --quick where it changes
+        # the run: table1 is already cheap, fig14/ablation run a single
+        # benchmark
+        if which not in ("table1", "table2"):
+            p.add_argument("--qubits", type=int, default=16)
         if which == "table2":
             p.add_argument(
                 "--quick", action="store_true", help="16-qubit rows only"

@@ -356,7 +356,9 @@ def estimate_yield(
     stabilizer engine (:class:`repro.sim.noisy.NoisySampler`): fusion
     Pauli errors and measurement flips are injected per sampled fault
     configuration, photon loss aborts the shot.  Non-Clifford programs
-    fall back to the closed-form model only.
+    fall back to the closed-form model only — under a heterogeneous
+    *site_map*, the per-site closed form, resolved and checked exactly
+    as the sampler does (:func:`repro.sim.noisy.resolve_site_map`).
 
     Args:
         circuit: source circuit (defines the ideal output).
@@ -385,7 +387,7 @@ def estimate_yield(
     """
     from repro.hardware.noise import DEFAULT_NOISE
     from repro.mbqc.translate import circuit_to_pattern
-    from repro.sim.noisy import FaultCounts, NoisySampler
+    from repro.sim.noisy import FaultCounts, NoisySampler, resolve_site_map
     from repro.sim.pattern_sim import pattern_is_clifford
     from repro.sim.stabilizer import circuit_is_clifford
 
@@ -396,13 +398,16 @@ def estimate_yield(
     if counts is None:
         counts = FaultCounts.from_pattern(pattern)
     if not (pattern_is_clifford(pattern) and circuit_is_clifford(circuit)):
+        analytic: Optional[float] = None
         if site_map is not None:
-            model = site_map.as_uniform_model() or site_map.base
+            model, analytic = resolve_site_map(site_map, site_profile, counts)
+        if analytic is None:
+            analytic = counts.analytic_yield(model)
         return YieldEstimate(
             shots=0,
             yield_mc=None,
             fault_free_yield=None,
-            yield_analytic=counts.analytic_yield(model),
+            yield_analytic=analytic,
             sigma=0.0,
             method="analytic-only",
             seconds=time.perf_counter() - t0,

@@ -1,7 +1,11 @@
 """Batch experiment runner: grids of compiles, cached and parallel.
 
-The table/figure runners in :mod:`repro.eval.experiments` compile one
-configuration at a time.  This module adds the production layer on top:
+This module holds the one path that compiles and measures:
+:func:`execute_circuit` runs a circuit through every stage a spec
+enables and returns one run-table row, and :func:`execute_spec` is it
+on the spec's library benchmark.  The paper's table/figure runners
+(:mod:`repro.eval.experiments`), the sweeps and the compile server are
+all grids of specs over it.  Around it sits the production layer:
 
 * :class:`RunSpec` — one hashable experiment coordinate (benchmark,
   qubits, hardware, compiler knobs);
@@ -257,16 +261,16 @@ class _Compiled:
 Columns = Dict[str, Any]
 
 
-def _compile_stage(spec: RunSpec) -> Tuple[_Compiled, Columns]:
-    """Build the circuit and hardware, translate and compile; returns the
+def _compile_stage(
+    spec: RunSpec, circuit: "Circuit"
+) -> Tuple[_Compiled, Columns]:
+    """Build the hardware, translate and compile *circuit*; returns the
     spec and program columns of the row."""
-    from repro.circuit.benchmarks import get_benchmark
     from repro.core.compiler import OneQCompiler, OneQConfig
     from repro.eval.experiments import _hardware_for
     from repro.hardware.resource_state import get_resource_state
     from repro.mbqc.translate import circuit_to_pattern
 
-    circuit = get_benchmark(spec.benchmark, spec.num_qubits, seed=spec.seed)
     hardware = _hardware_for(
         spec.num_qubits,
         get_resource_state(spec.resource_state),
@@ -491,11 +495,22 @@ def baseline_columns(
 
 
 def execute_spec(spec: RunSpec) -> RunRecord:
-    """Compile one spec and measure it (runs inside worker processes).
+    """Compile the spec's library benchmark and measure it (runs inside
+    worker processes)."""
+    from repro.circuit.benchmarks import get_benchmark
+
+    return execute_circuit(
+        spec, get_benchmark(spec.benchmark, spec.num_qubits, seed=spec.seed)
+    )
+
+
+def execute_circuit(spec: RunSpec, circuit: "Circuit") -> RunRecord:
+    """Compile *circuit* on the spec's hardware and measure it.
 
     Each stage the spec enables contributes its columns; columns of a
-    stage that did not run keep their :class:`RunRecord` defaults."""
-    run, row = _compile_stage(spec)
+    stage that did not run keep their :class:`RunRecord` defaults.
+    ``spec.benchmark`` and ``spec.num_qubits`` only label the row."""
+    run, row = _compile_stage(spec, circuit)
     if spec.verify:
         row.update(_verify_stage(spec, run))
     if spec.lint:
@@ -513,21 +528,6 @@ def execute_spec(spec: RunSpec) -> RunRecord:
             )
         )
     return RunRecord(**row)
-
-
-def _execute_spec_dict(payload: Dict) -> Dict:
-    """Picklable worker entry: spec dict in, record dict out."""
-    spec = _spec_from_dict(payload)
-    return asdict(execute_spec(spec))
-
-
-def _spec_from_dict(payload: Dict) -> RunSpec:
-    payload = dict(payload)
-    payload["compiler_options"] = tuple(
-        (k, v) for k, v in payload.get("compiler_options", ())
-    )
-    payload["noise"] = tuple((k, v) for k, v in payload.get("noise", ()))
-    return RunSpec(**payload)
 
 
 class BatchRunner:
@@ -561,11 +561,6 @@ class BatchRunner:
         )
 
     # -- cache ---------------------------------------------------------
-    def _cache_path(self, spec: RunSpec) -> Optional[pathlib.Path]:
-        if self.store is None:
-            return None
-        return self.store.disk_path(spec.key())
-
     def _load_cached(self, spec: RunSpec) -> Optional[RunRecord]:
         if self.store is None:
             return None
@@ -606,17 +601,15 @@ class BatchRunner:
         jobs = self.jobs
         if jobs is None:
             jobs = min(multiprocessing.cpu_count(), max(1, len(todo)))
+        pending = [spec for _, spec in todo]
         if len(todo) <= 1 or jobs <= 1:
-            fresh = [(idx, execute_spec(spec)) for idx, spec in todo]
+            fresh = [execute_spec(spec) for spec in pending]
         else:
-            payloads = [asdict(spec) for _, spec in todo]
+            # specs and records pickle as they are: the workers get the
+            # spec itself, dataclass-valued compiler options included
             with multiprocessing.Pool(processes=min(jobs, len(todo))) as pool:
-                results = pool.map(_execute_spec_dict, payloads)
-            fresh = [
-                (idx, RunRecord(**result))
-                for (idx, _), result in zip(todo, results)
-            ]
-        for (idx, spec), (_, record) in zip(todo, fresh):
+                fresh = pool.map(execute_spec, pending)
+        for (idx, spec), record in zip(todo, fresh):
             self._store(record, spec)
             records[idx] = record
         return [records[idx] for idx in range(len(specs))]

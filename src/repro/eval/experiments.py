@@ -1,27 +1,25 @@
 """Experiment runners: one per table/figure of the paper's evaluation.
 
-Each ``run_*`` function regenerates the corresponding table or figure
-data with our compiler stack; renderers in :mod:`repro.eval.reporting`
-print them in the paper's format.  Absolute values are not expected to
-match the paper (our baseline router and substrates differ) but the
-shapes — who wins, by what order of magnitude, where trends bend — are.
+Each ``run_*`` function builds the table's or figure's grid of
+:class:`repro.eval.batch.RunSpec` coordinates and measures every one
+through :func:`repro.eval.batch.execute_spec`, the single compile-and-
+measure path (OneQ plus the baseline interpreter on the same area);
+renderers in :mod:`repro.eval.reporting` print the resulting
+:class:`repro.eval.batch.RunRecord` rows in the paper's format.  Table 2
+is the batch grid itself (:func:`repro.eval.batch.run_grid`).
+Absolute values are not expected to match the paper (our baseline
+router and substrates differ) but the shapes — who wins, by what order
+of magnitude, where trends bend — are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.baseline.interpreter import BaselineResult, compile_baseline
 from repro.baseline.metrics import BaselineAreas, physical_side
-from repro.circuit.benchmarks import get_benchmark
-from repro.core.compiler import CompiledProgram, OneQCompiler, OneQConfig
+from repro.eval.batch import RunRecord, RunSpec, execute_spec
 from repro.hardware.coupling import HardwareConfig
-from repro.hardware.resource_state import (
-    RESOURCE_STATES,
-    THREE_LINE,
-    ResourceStateType,
-)
+from repro.hardware.resource_state import RESOURCE_STATES, ResourceStateType
 
 #: The paper's Table 1 / Table 2 benchmark grid, extended with the
 #: 100-qubit QFT/QAOA scaling rows the packed compile path makes cheap.
@@ -60,28 +58,6 @@ PAPER_TABLE2: Dict[Tuple[str, int], Tuple[int, int, int, int]] = {
 }
 
 
-@dataclass
-class ComparisonRow:
-    """One Table 2 row: baseline vs OneQ on the same physical area."""
-
-    name: str
-    num_qubits: int
-    baseline: BaselineResult
-    oneq: CompiledProgram
-
-    @property
-    def label(self) -> str:
-        return f"{self.name}-{self.num_qubits}"
-
-    @property
-    def depth_improvement(self) -> float:
-        return self.baseline.depth / max(1, self.oneq.physical_depth)
-
-    @property
-    def fusion_improvement(self) -> float:
-        return self.baseline.num_fusions / max(1, self.oneq.num_fusions)
-
-
 def _hardware_for(
     num_qubits: int,
     resource_state: ResourceStateType,
@@ -95,26 +71,6 @@ def _hardware_for(
         area = side * side
     return HardwareConfig.with_area(
         area, ratio=ratio, resource_state=resource_state, extension=extension
-    )
-
-
-def compare_one(
-    name: str,
-    num_qubits: int,
-    resource_state: ResourceStateType = THREE_LINE,
-    ratio: float = 1.0,
-    area: Optional[int] = None,
-    seed: int = 7,
-    **compiler_kwargs,
-) -> ComparisonRow:
-    """Compile one benchmark with both flows on the same physical area."""
-    circuit = get_benchmark(name, num_qubits, seed=seed)
-    baseline = compile_baseline(circuit, name=name, resource_state=resource_state)
-    hardware = _hardware_for(num_qubits, resource_state, ratio=ratio, area=area)
-    compiler = OneQCompiler(OneQConfig(hardware=hardware, **compiler_kwargs))
-    oneq = compiler.compile(circuit, name=f"{name}-{num_qubits}")
-    return ComparisonRow(
-        name=name, num_qubits=num_qubits, baseline=baseline, oneq=oneq
     )
 
 
@@ -138,38 +94,21 @@ def run_table1(
 
 
 # ----------------------------------------------------------------------
-# Table 2
-# ----------------------------------------------------------------------
-def run_table2(
-    benchmarks: Optional[Sequence[Tuple[str, int]]] = None,
-    resource_state: ResourceStateType = THREE_LINE,
-) -> List[ComparisonRow]:
-    """Baseline vs OneQ on every benchmark (Table 2)."""
-    benchmarks = list(benchmarks or TABLE_BENCHMARKS)
-    return [
-        compare_one(name, n, resource_state=resource_state)
-        for name, n in benchmarks
-    ]
-
-
-# ----------------------------------------------------------------------
 # Figure 12: resource-state types
 # ----------------------------------------------------------------------
 def run_fig12(
     num_qubits: int = 16,
     benchmarks: Sequence[str] = ("QFT", "QAOA", "RCA", "BV"),
     resource_states: Optional[Sequence[str]] = None,
-) -> Dict[str, List[ComparisonRow]]:
-    """Improvement factors for each resource-state type (Fig. 12)."""
+) -> List[RunRecord]:
+    """Baseline vs OneQ per resource-state type (Fig. 12), one record
+    per (resource state, benchmark)."""
     names = list(resource_states or RESOURCE_STATES.keys())
-    out: Dict[str, List[ComparisonRow]] = {}
-    for rst_name in names:
-        rst = RESOURCE_STATES[rst_name]
-        out[rst_name] = [
-            compare_one(bench, num_qubits, resource_state=rst)
-            for bench in benchmarks
-        ]
-    return out
+    return [
+        execute_spec(RunSpec(bench, num_qubits, resource_state=rst_name))
+        for rst_name in names
+        for bench in benchmarks
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -188,20 +127,16 @@ def run_fig13(
     num_qubits: int = 16,
     benchmarks: Sequence[str] = ("QFT", "QAOA", "RCA", "BV"),
     seed: int = 7,
-) -> Dict[str, Dict[float, CompiledProgram]]:
-    """OneQ on rectangular layers, keyed benchmark -> ratio (Fig. 13)."""
-    out: Dict[str, Dict[float, CompiledProgram]] = {}
-    for bench in benchmarks:
-        circuit = get_benchmark(bench, num_qubits, seed=seed)
-        per_ratio: Dict[float, CompiledProgram] = {}
-        for ratio, (rows, cols) in FIG13_SHAPES:
-            hardware = HardwareConfig(rows=rows, cols=cols)
-            compiler = OneQCompiler(OneQConfig(hardware=hardware))
-            per_ratio[ratio] = compiler.compile(
-                circuit, name=f"{bench}-{num_qubits}@{ratio}"
-            )
-        out[bench] = per_ratio
-    return out
+) -> List[RunRecord]:
+    """OneQ on rectangular layers (Fig. 13), one record per (benchmark,
+    ratio)."""
+    return [
+        execute_spec(
+            RunSpec(bench, num_qubits, seed=seed, ratio=ratio, area=rows * cols)
+        )
+        for bench in benchmarks
+        for ratio, (rows, cols) in FIG13_SHAPES
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -212,20 +147,14 @@ def run_fig15(
     benchmarks: Sequence[str] = ("QFT", "QAOA", "RCA", "BV"),
     areas: Sequence[int] = (100, 200, 256, 400, 600, 800, 1000),
     seed: int = 7,
-) -> Dict[str, Dict[int, CompiledProgram]]:
-    """OneQ across physical areas (Fig. 15; 256 is the baseline area)."""
-    out: Dict[str, Dict[int, CompiledProgram]] = {}
-    for bench in benchmarks:
-        circuit = get_benchmark(bench, num_qubits, seed=seed)
-        per_area: Dict[int, CompiledProgram] = {}
-        for area in areas:
-            hardware = HardwareConfig.with_area(area)
-            compiler = OneQCompiler(OneQConfig(hardware=hardware))
-            per_area[area] = compiler.compile(
-                circuit, name=f"{bench}-{num_qubits}@{area}"
-            )
-        out[bench] = per_area
-    return out
+) -> List[RunRecord]:
+    """OneQ across physical areas (Fig. 15; 256 is the baseline area),
+    one record per (benchmark, area)."""
+    return [
+        execute_spec(RunSpec(bench, num_qubits, seed=seed, area=area))
+        for bench in benchmarks
+        for area in areas
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -234,13 +163,17 @@ def run_fig15(
 def run_fidelity(
     benchmarks: Optional[Sequence[Tuple[str, int]]] = None,
     model=None,
-) -> List[Tuple[ComparisonRow, float, float, float]]:
+) -> List[Tuple[RunRecord, float, float, float]]:
     """Estimated log-fidelity of baseline vs OneQ programs.
 
-    Returns ``(row, baseline_logF, oneq_logF, improvement_factor)`` per
-    benchmark, quantifying the paper's claim that reducing fusions
-    enhances overall fidelity.
+    Returns ``(record, baseline_logF, oneq_logF, improvement_factor)``
+    per benchmark, quantifying the paper's claim that reducing fusions
+    enhances overall fidelity.  The record carries the OneQ event
+    counts; the baseline's are its depth, #fusions and cluster area.
     """
+    from types import SimpleNamespace
+
+    from repro.baseline.metrics import cluster_area
     from repro.hardware.noise import (
         DEFAULT_NOISE,
         baseline_log_fidelity,
@@ -252,11 +185,16 @@ def run_fidelity(
     benchmarks = list(benchmarks or [(n, 16) for n in ("QFT", "QAOA", "RCA", "BV")])
     out = []
     for name, n in benchmarks:
-        row = compare_one(name, n)
-        base_lf = baseline_log_fidelity(row.baseline, model)
-        oneq_lf = program_log_fidelity(row.oneq, model)
-        factor = fidelity_improvement_factor(row.oneq, row.baseline, model)
-        out.append((row, base_lf, oneq_lf, factor))
+        record = execute_spec(RunSpec(name, n))
+        baseline = SimpleNamespace(
+            depth=record.baseline_depth,
+            num_fusions=record.baseline_fusions,
+            cluster_area=cluster_area(record.num_qubits),
+        )
+        base_lf = baseline_log_fidelity(baseline, model)
+        oneq_lf = program_log_fidelity(record, model)
+        factor = fidelity_improvement_factor(record, baseline, model)
+        out.append((record, base_lf, oneq_lf, factor))
     return out
 
 
@@ -390,8 +328,8 @@ def run_ablation(
     name: str = "QFT",
     num_qubits: int = 16,
     seed: int = 7,
-) -> Dict[str, CompiledProgram]:
-    """Compile one benchmark under each compiler variant.
+) -> Dict[str, RunRecord]:
+    """Measure one benchmark under each compiler variant.
 
     Variants: ``default``, ``lemma1-scheduling`` (pure Lemma-1 layers,
     geometry scattered), ``no-embedding`` (ignore planar rotational
@@ -400,21 +338,20 @@ def run_ablation(
     """
     from repro.core.partition import PartitionConfig
 
-    circuit = get_benchmark(name, num_qubits, seed=seed)
-    hardware = _hardware_for(num_qubits, THREE_LINE)
-
-    def compile_with(**kwargs) -> CompiledProgram:
-        compiler = OneQCompiler(OneQConfig(hardware=hardware, **kwargs))
-        return compiler.compile(circuit, name=f"{name}-{num_qubits}")
-
-    return {
-        "default": compile_with(),
-        "lemma1-scheduling": compile_with(
-            partition=PartitionConfig(scheduling="lemma1")
+    variants: Dict[str, Tuple[Tuple[str, object], ...]] = {
+        "default": (),
+        "lemma1-scheduling": (
+            ("partition", PartitionConfig(scheduling="lemma1")),
         ),
-        "no-embedding": compile_with(use_embedding=False),
-        "no-hints": compile_with(use_placement_hints=False),
-        "alpha-1": compile_with(alpha=1.5),
+        "no-embedding": (("use_embedding", False),),
+        "no-hints": (("use_placement_hints", False),),
+        "alpha-1": (("alpha", 1.5),),
+    }
+    return {
+        variant: execute_spec(
+            RunSpec(name, num_qubits, seed=seed, compiler_options=options)
+        )
+        for variant, options in variants.items()
     }
 
 
@@ -423,9 +360,10 @@ def run_ablation(
 # ----------------------------------------------------------------------
 def run_fig14(
     num_qubits: int = 16, side: int = 13, extension: int = 3, seed: int = 7
-) -> CompiledProgram:
+) -> RunRecord:
     """QFT mapping on an extended layer (Fig. 14: 3 x 13x13 -> 13x39)."""
-    circuit = get_benchmark("QFT", num_qubits, seed=seed)
-    hardware = HardwareConfig(rows=side, cols=side, extension=extension)
-    compiler = OneQCompiler(OneQConfig(hardware=hardware))
-    return compiler.compile(circuit, name=f"QFT-{num_qubits}-ext{extension}")
+    return execute_spec(
+        RunSpec(
+            "QFT", num_qubits, seed=seed, area=side * side, extension=extension
+        )
+    )

@@ -1,12 +1,16 @@
-"""Text renderers for the experiment runners (paper-style tables)."""
+"""Text renderers for the experiment runners (paper-style tables).
+
+Every compile-backed renderer reads :class:`repro.eval.batch.RunRecord`
+rows and groups them by the column its figure sweeps.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.baseline.metrics import BaselineAreas
-from repro.core.compiler import CompiledProgram
-from repro.eval.experiments import PAPER_TABLE2, ComparisonRow
+from repro.eval.batch import RunRecord
+from repro.eval.experiments import PAPER_TABLE2
 
 
 def _table(headers: Sequence[str], rows: List[Sequence[object]]) -> str:
@@ -36,7 +40,7 @@ def render_table1(rows: List[Tuple[str, BaselineAreas]]) -> str:
     return _table(["Name", "#qubit", "cluster area", "physical area"], body)
 
 
-def render_table2(rows: List[ComparisonRow], with_paper: bool = True) -> str:
+def render_table2(records: List[RunRecord], with_paper: bool = True) -> str:
     """Table 2: baseline vs OneQ depth and #fusions + improvements."""
     headers = [
         "Name-#q",
@@ -50,18 +54,18 @@ def render_table2(rows: List[ComparisonRow], with_paper: bool = True) -> str:
     if with_paper:
         headers += ["Paper D-Improv.", "Paper F-Improv."]
     body = []
-    for row in rows:
+    for r in records:
         cells = [
-            row.label,
-            row.baseline.depth,
-            row.oneq.physical_depth,
-            f"{row.depth_improvement:.0f}x",
-            f"{row.baseline.num_fusions:,}",
-            f"{row.oneq.num_fusions:,}",
-            f"{row.fusion_improvement:.0f}x",
+            r.label,
+            r.baseline_depth,
+            r.depth,
+            f"{r.depth_improvement:.0f}x",
+            f"{r.baseline_fusions:,}",
+            f"{r.num_fusions:,}",
+            f"{r.fusion_improvement:.0f}x",
         ]
         if with_paper:
-            paper = PAPER_TABLE2.get((row.name, row.num_qubits))
+            paper = PAPER_TABLE2.get((r.benchmark, r.num_qubits))
             if paper:
                 bd, od, bf, of = paper
                 cells += [f"{bd / od:.0f}x", f"{bf / of:.0f}x"]
@@ -71,20 +75,31 @@ def render_table2(rows: List[ComparisonRow], with_paper: bool = True) -> str:
     return _table(headers, body)
 
 
-def render_fig12(results: Dict[str, List[ComparisonRow]]) -> str:
+def _sweep(
+    records: Sequence[RunRecord], row: str, column: str
+) -> Dict[Any, Dict[Any, RunRecord]]:
+    """*records* keyed by their *row* then their swept *column* value,
+    both in first-seen order."""
+    grid: Dict[Any, Dict[Any, RunRecord]] = {}
+    for r in records:
+        grid.setdefault(getattr(r, row), {})[getattr(r, column)] = r
+    return grid
+
+
+def render_fig12(records: Sequence[RunRecord]) -> str:
     """Fig. 12: improvement factors per resource-state type."""
-    rst_names = list(results.keys())
-    benches = [row.label for row in next(iter(results.values()))]
+    grid = _sweep(records, "label", "resource_state")
+    rst_names = list(next(iter(grid.values())))
     depth_rows = []
     fusion_rows = []
-    for i, bench in enumerate(benches):
+    for bench, per_rst in grid.items():
         depth_rows.append(
             [bench]
-            + [f"{results[r][i].depth_improvement:.0f}x" for r in rst_names]
+            + [f"{per_rst[r].depth_improvement:.0f}x" for r in rst_names]
         )
         fusion_rows.append(
             [bench]
-            + [f"{results[r][i].fusion_improvement:.0f}x" for r in rst_names]
+            + [f"{per_rst[r].fusion_improvement:.0f}x" for r in rst_names]
         )
     return (
         "depth improvement\n"
@@ -95,23 +110,24 @@ def render_fig12(results: Dict[str, List[ComparisonRow]]) -> str:
 
 
 def _normalized(
-    per_key: Dict[float, CompiledProgram], base_key
-) -> Dict[float, Tuple[float, float]]:
+    per_key: Dict[Any, RunRecord], base_key: Any
+) -> Dict[Any, Tuple[float, float]]:
     base = per_key[base_key]
     return {
         key: (
-            prog.physical_depth / max(1, base.physical_depth),
-            prog.num_fusions / max(1, base.num_fusions),
+            r.depth / max(1, base.depth),
+            r.num_fusions / max(1, base.num_fusions),
         )
-        for key, prog in per_key.items()
+        for key, r in per_key.items()
     }
 
 
-def render_fig13(results: Dict[str, Dict[float, CompiledProgram]]) -> str:
+def render_fig13(records: Sequence[RunRecord]) -> str:
     """Fig. 13: normalized depth/#fusions per layer aspect ratio."""
-    ratios = sorted(next(iter(results.values())).keys())
+    grid = _sweep(records, "benchmark", "ratio")
+    ratios = sorted(next(iter(grid.values())).keys())
     rows = []
-    for bench, per_ratio in results.items():
+    for bench, per_ratio in grid.items():
         norm = _normalized(per_ratio, base_key=ratios[0])
         rows.append(
             [bench]
@@ -122,31 +138,31 @@ def render_fig13(results: Dict[str, Dict[float, CompiledProgram]]) -> str:
     )
 
 
-def render_fig14(program: CompiledProgram) -> str:
+def render_fig14(r: RunRecord) -> str:
     """Fig. 14: one benchmark mapped onto an extended physical layer."""
     return (
-        f"{program.name}: extension={program.extension} "
-        f"mapping_layers={program.mapping_layers} "
-        f"shuffle_layers={program.shuffle_layers} "
-        f"physical depth={program.physical_depth} "
-        f"fusions={program.num_fusions:,}"
+        f"{r.label}-ext{r.extension}: extension={r.extension} "
+        f"mapping_layers={r.mapping_layers} "
+        f"shuffle_layers={r.shuffle_layers} "
+        f"physical depth={r.depth} "
+        f"fusions={r.num_fusions:,}"
     )
 
 
-def render_ablation(results: Dict[str, CompiledProgram]) -> str:
+def render_ablation(results: Dict[str, RunRecord]) -> str:
     """Compiler-variant ablation: depth/#fusions per variant."""
     base = results.get("default")
     rows = []
-    for variant, prog in results.items():
+    for variant, r in results.items():
         cells = [
             variant,
-            prog.physical_depth,
-            f"{prog.num_fusions:,}",
+            r.depth,
+            f"{r.num_fusions:,}",
         ]
         if base is not None:
             cells += [
-                f"{prog.physical_depth / max(1, base.physical_depth):.2f}",
-                f"{prog.num_fusions / max(1, base.num_fusions):.2f}",
+                f"{r.depth / max(1, base.depth):.2f}",
+                f"{r.num_fusions / max(1, base.num_fusions):.2f}",
             ]
         rows.append(cells)
     headers = ["variant", "depth", "#fusions"]
@@ -197,14 +213,13 @@ def render_survival_table(records: Sequence) -> str:
     return "\n\n".join(blocks) if blocks else "(no degradation rows)"
 
 
-def render_fig15(
-    results: Dict[str, Dict[int, CompiledProgram]], base_area: int = 256
-) -> str:
+def render_fig15(records: Sequence[RunRecord], base_area: int = 256) -> str:
     """Fig. 15: normalized depth/#fusions per physical area."""
-    areas = sorted(next(iter(results.values())).keys())
+    grid = _sweep(records, "benchmark", "area")
+    areas = sorted(next(iter(grid.values())).keys())
     base = base_area if base_area in areas else areas[0]
     rows = []
-    for bench, per_area in results.items():
+    for bench, per_area in grid.items():
         norm = _normalized(per_area, base_key=base)
         rows.append(
             [bench]

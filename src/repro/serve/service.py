@@ -45,7 +45,7 @@ from repro.utils.sync import make_lock
 
 #: bump when the artifact payload shape changes: stale disk entries
 #: then read as misses instead of surfacing old-shape artifacts
-ARTIFACT_VERSION = 2
+ARTIFACT_VERSION = 3
 
 _VALID_RESOURCE_STATES = ("3-line", "4-line", "4-star", "4-ring")
 _VALID_BENCHMARKS = ("QFT", "QAOA", "RCA", "BV")
@@ -177,18 +177,22 @@ def job_key(job: Dict[str, Any]) -> str:
 
 
 def compile_job(job: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one normalized job (runs inside a worker process)."""
-    if "qasm" in job:
-        return _compile_qasm_job(job)
-    return _compile_benchmark_job(job)
+    """Execute one normalized job (runs inside a worker process).
 
+    Both request forms are one :class:`repro.eval.batch.RunSpec`: a
+    library benchmark runs through :func:`repro.eval.batch.execute_spec`,
+    a QASM circuit through :func:`repro.eval.batch.execute_circuit` with
+    the request's ``name`` as its benchmark and the circuit's width as
+    its qubit count.  The artifact is the run-table record without its
+    cache fields (provenance belongs to the store envelope) plus
+    ``kind``."""
+    from repro.circuit.qasm import from_qasm
+    from repro.eval.batch import RunSpec, execute_circuit, execute_spec
 
-def _compile_benchmark_job(job: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.eval.batch import RunSpec, execute_spec
-
+    circuit = from_qasm(job["qasm"]) if "qasm" in job else None
     spec = RunSpec(
-        benchmark=job["benchmark"],
-        num_qubits=job["qubits"],
+        benchmark=job["benchmark"] if circuit is None else job["name"],
+        num_qubits=job["qubits"] if circuit is None else circuit.num_qubits,
         seed=job["seed"],
         resource_state=job["resource_state"],
         include_baseline=job["include_baseline"],
@@ -197,91 +201,13 @@ def _compile_benchmark_job(job: Dict[str, Any]) -> Dict[str, Any]:
         noise=tuple(sorted(job["noise"].items())),
         mc_engine=job["mc_engine"],
     )
-    artifact = asdict(execute_spec(spec))
-    # cache provenance belongs to the store envelope, not the artifact
-    for field in ("cached", "cache_tier", "cache_age_seconds"):
-        artifact.pop(field, None)
-    artifact["kind"] = "benchmark"
-    return artifact
-
-
-def _compile_qasm_job(job: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.circuit.qasm import from_qasm
-    from repro.core.compiler import OneQCompiler, OneQConfig
-    from repro.eval.experiments import _hardware_for
-    from repro.hardware.resource_state import get_resource_state
-    from repro.mbqc.translate import circuit_to_pattern
-
-    circuit = from_qasm(job["qasm"])
-    rst = get_resource_state(job["resource_state"])
-    hardware = _hardware_for(circuit.num_qubits, rst)
-    compiler = OneQCompiler(OneQConfig(hardware=hardware))
-    t0 = time.perf_counter()
-    pattern = circuit_to_pattern(circuit)
-    program = compiler.compile_pattern(
-        pattern, name=job["name"], num_qubits=circuit.num_qubits
+    record = (
+        execute_spec(spec) if circuit is None else execute_circuit(spec, circuit)
     )
-    seconds = time.perf_counter() - t0
-
-    artifact: Dict[str, Any] = {
-        "kind": "qasm",
-        "name": job["name"],
-        "num_qubits": circuit.num_qubits,
-        "seed": job["seed"],
-        "resource_state": job["resource_state"],
-        "depth": program.physical_depth,
-        "num_fusions": program.num_fusions,
-        "mapping_layers": program.mapping_layers,
-        "shuffle_layers": program.shuffle_layers,
-        "num_partitions": program.num_partitions,
-        "pattern_nodes": program.pattern_nodes,
-        "pattern_edges": program.pattern_edges,
-        "seconds": seconds,
-        "stage_seconds": {
-            stage: round(value, 6)
-            for stage, value in program.stage_seconds.items()
-        },
-        "verified": None,
-        "verify_method": None,
-        "yield_analytic": None,
-        "yield_mc": None,
-        "shots": 0,
-        "baseline_depth": None,
-        "baseline_fusions": None,
-        "depth_improvement": None,
-        "fusion_improvement": None,
-    }
-    if job["include_baseline"]:
-        from repro.eval.batch import baseline_columns
-
-        artifact.update(
-            baseline_columns(
-                circuit, program, job["name"], job["resource_state"]
-            )
-        )
-    if job["verify"]:
-        from repro.core.validate import verify_pattern
-
-        report = verify_pattern(circuit, pattern=pattern, seed=job["seed"])
-        artifact["verified"] = report.ok
-        artifact["verify_method"] = report.method
-    if job["shots"] > 0:
-        from repro.core.validate import estimate_yield
-        from repro.hardware.noise import NoiseModel
-        from repro.sim.noisy import FaultCounts
-
-        estimate = estimate_yield(
-            circuit,
-            pattern=pattern,
-            model=NoiseModel(**job["noise"]),
-            shots=job["shots"],
-            seed=job["seed"],
-            counts=FaultCounts.from_program(program),
-            engine=job["mc_engine"],
-        )
-        artifact["shots"] = estimate.shots
-        artifact["yield_mc"] = estimate.yield_mc
-        artifact["yield_analytic"] = estimate.yield_analytic
+    artifact = asdict(record)
+    for field in ("cached", "cache_tier", "cache_age_seconds"):
+        del artifact[field]
+    artifact["kind"] = "benchmark" if circuit is None else "qasm"
     return artifact
 
 

@@ -259,6 +259,59 @@ class NoisySampleResult:
         )
 
 
+def resolve_site_map(
+    site_map: SiteNoiseMap,
+    site_profile: Optional[SiteProfile],
+    counts: FaultCounts,
+) -> Tuple[NoiseModel, Optional[float]]:
+    """The scalar model and per-site closed-form yield of *site_map*.
+
+    A uniform map (no dead sites, constant planes) collapses to its
+    scalar model and returns no per-site yield.  A heterogeneous map
+    needs a *site_profile* of matching shape and event counts, must not
+    assign any fusion to a dead / zero-success site (``ValueError``:
+    repeat-until-success never terminates there), and returns its base
+    model plus :func:`repro.hardware.degradation.site_analytic_yield`.
+    """
+    uniform = site_map.as_uniform_model()
+    if uniform is not None:
+        return uniform, None
+    if site_profile is None:
+        raise ValueError(
+            "a heterogeneous site_map needs a site_profile "
+            "assigning each fault event to its site (see "
+            "repro.hardware.degradation.program_site_profile)"
+        )
+    if site_profile.shape != site_map.shape:
+        raise ValueError(
+            f"site_profile shape {site_profile.shape} != "
+            f"site_map shape {site_map.shape}"
+        )
+    if (
+        site_profile.fusion_sites.size != counts.fusions
+        or site_profile.cycle_sites.size != counts.photon_cycles
+    ):
+        raise ValueError(
+            "site_profile event counts "
+            f"({site_profile.fusion_sites.size} fusions, "
+            f"{site_profile.cycle_sites.size} photon-cycles) "
+            f"do not match FaultCounts ({counts.fusions} "
+            f"fusions, {counts.photon_cycles} photon-cycles)"
+        )
+    dead = dead_assigned_fusions(site_profile, site_map)
+    if dead:
+        raise ValueError(
+            f"{dead} fusion(s) assigned to dead / "
+            "zero-fusion-success sites: repeat-until-success "
+            "never terminates there and the yield is exactly "
+            "0 — re-route or recompile around the dead cells "
+            "(repro.core.recovery) instead of sampling"
+        )
+    return site_map.base, site_analytic_yield(
+        site_profile, site_map, counts.measurements
+    )
+
+
 class NoisySampler:
     """Monte-Carlo noisy executor for Clifford patterns.
 
@@ -356,43 +409,11 @@ class NoisySampler:
         site_rates: Optional[Tuple[np.ndarray, ...]] = None
         self._analytic_override: Optional[float] = None
         if site_map is not None:
-            uniform = site_map.as_uniform_model()
-            if uniform is not None:
-                model = uniform
-            else:
-                if site_profile is None:
-                    raise ValueError(
-                        "a heterogeneous site_map needs a site_profile "
-                        "assigning each fault event to its site (see "
-                        "repro.hardware.degradation.program_site_profile)"
-                    )
-                if site_profile.shape != site_map.shape:
-                    raise ValueError(
-                        f"site_profile shape {site_profile.shape} != "
-                        f"site_map shape {site_map.shape}"
-                    )
-                if (
-                    site_profile.fusion_sites.size != self.counts.fusions
-                    or site_profile.cycle_sites.size
-                    != self.counts.photon_cycles
-                ):
-                    raise ValueError(
-                        "site_profile event counts "
-                        f"({site_profile.fusion_sites.size} fusions, "
-                        f"{site_profile.cycle_sites.size} photon-cycles) "
-                        f"do not match FaultCounts ({self.counts.fusions} "
-                        f"fusions, {self.counts.photon_cycles} "
-                        "photon-cycles)"
-                    )
-                dead = dead_assigned_fusions(site_profile, site_map)
-                if dead:
-                    raise ValueError(
-                        f"{dead} fusion(s) assigned to dead / "
-                        "zero-fusion-success sites: repeat-until-success "
-                        "never terminates there and the yield is exactly "
-                        "0 — re-route or recompile around the dead cells "
-                        "(repro.core.recovery) instead of sampling"
-                    )
+            model, self._analytic_override = resolve_site_map(
+                site_map, site_profile, self.counts
+            )
+            if self._analytic_override is not None:
+                assert site_profile is not None
                 assert site_map.fusion_error is not None
                 assert site_map.cycle_loss is not None
                 assert site_map.fusion_success is not None
@@ -402,10 +423,6 @@ class NoisySampler:
                     site_map.fusion_error.ravel()[fusion_sites],
                     site_map.fusion_success.ravel()[fusion_sites],
                 )
-                self._analytic_override = site_analytic_yield(
-                    site_profile, site_map, self.counts.measurements
-                )
-                model = site_map.base
         self.model = model
         if model.fusion_success == 0.0 and self.counts.fusions > 0:
             raise ValueError(

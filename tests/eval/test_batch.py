@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.eval.batch import (
     SCHEMA_VERSION,
     BatchRunner,
     RunSpec,
+    execute_circuit,
     execute_spec,
     render_run_records,
     run_grid,
@@ -17,7 +19,7 @@ from repro.eval.batch import (
     write_bench_json,
     write_run_table,
 )
-from repro.eval.experiments import TABLE_BENCHMARKS, compare_one
+from repro.eval.experiments import TABLE_BENCHMARKS
 
 QUICK = [("BV", 8), ("BV", 12)]
 
@@ -41,15 +43,19 @@ class TestRunSpec:
 
 
 class TestExecuteSpec:
-    def test_matches_compare_one(self):
-        """The batch path reproduces the interactive path exactly."""
-        record = execute_spec(RunSpec("BV", 16))
-        row = compare_one("BV", 16)
-        assert record.depth == row.oneq.physical_depth
-        assert record.num_fusions == row.oneq.num_fusions
-        assert record.baseline_depth == row.baseline.depth
-        assert record.baseline_fusions == row.baseline.num_fusions
-        assert record.depth_improvement == pytest.approx(row.depth_improvement)
+    def test_execute_circuit_is_execute_spec_on_the_library_circuit(self):
+        from repro.circuit.benchmarks import get_benchmark
+
+        spec = RunSpec("BV", 8, verify=True, shots=200)
+        via_spec = asdict(execute_spec(spec))
+        via_circuit = asdict(
+            execute_circuit(spec, get_benchmark("BV", 8, seed=spec.seed))
+        )
+        for row in (via_spec, via_circuit):
+            for column in RUN_TABLE_COLUMNS:
+                if column.endswith("seconds") or column == "shots_per_second":
+                    row.pop(column)
+        assert via_circuit == via_spec
 
     def test_no_baseline(self):
         record = execute_spec(RunSpec("BV", 8, include_baseline=False))
@@ -83,6 +89,23 @@ class TestBatchRunner:
             assert a.depth == b.depth
             assert a.num_fusions == b.num_fusions
             assert a.key == b.key
+
+    def test_parallel_matches_serial_with_dataclass_option(self):
+        """Workers receive the spec itself: a dataclass-valued compiler
+        option reaches the compiler intact."""
+        from repro.core.partition import PartitionConfig
+
+        lemma1 = (("partition", PartitionConfig(scheduling="lemma1")),)
+        specs = [
+            RunSpec("BV", 8, compiler_options=lemma1),
+            RunSpec("QFT", 6, compiler_options=lemma1),
+        ]
+        serial = BatchRunner(jobs=1).run(specs)
+        parallel = BatchRunner(jobs=2).run(specs)
+        for a, b in zip(serial, parallel):
+            assert (a.key, a.depth, a.num_fusions, a.baseline_fusions) == (
+                b.key, b.depth, b.num_fusions, b.baseline_fusions
+            )
 
     def test_cache_roundtrip(self, tmp_path):
         specs = [RunSpec("BV", 8)]

@@ -1,20 +1,25 @@
 """Tests for the experiment runners (small sizes to stay fast)."""
 
-import pytest
-
+from repro.circuit.benchmarks import get_benchmark
+from repro.eval.batch import RunSpec, _compile_stage, execute_spec, run_grid
 from repro.eval.experiments import (
     FIG13_SHAPES,
     PAPER_TABLE2,
     TABLE_BENCHMARKS,
-    compare_one,
     run_fig12,
     run_fig13,
     run_fig14,
     run_fig15,
+    run_fidelity,
     run_table1,
-    run_table2,
 )
 from repro.hardware.resource_state import FOUR_STAR
+
+
+def _compiled(spec):
+    """The compile stage of *spec*: the program and its config."""
+    circuit = get_benchmark(spec.benchmark, spec.num_qubits, seed=spec.seed)
+    return _compile_stage(spec, circuit)[0]
 
 
 class TestTable1:
@@ -40,41 +45,40 @@ class TestTable1:
         assert by_key[("BV", 100)].physical_side == 43
 
 
-class TestCompareOne:
+class TestExecuteSpec:
     def test_improvements_positive(self):
-        row = compare_one("BV", 16)
-        assert row.depth_improvement > 1
-        assert row.fusion_improvement > 1
+        record = execute_spec(RunSpec("BV", 16))
+        assert record.depth_improvement > 1
+        assert record.fusion_improvement > 1
 
     def test_label(self):
-        assert compare_one("BV", 16).label == "BV-16"
+        assert execute_spec(RunSpec("BV", 16)).label == "BV-16"
 
     def test_resource_state_forwarded(self):
-        row = compare_one("BV", 16, resource_state=FOUR_STAR)
-        assert row.baseline.areas.physical_area < 256
+        hardware = _compiled(RunSpec("BV", 16, resource_state="4-star")).config.hardware
+        assert hardware.resource_state is FOUR_STAR
+        assert hardware.rows * hardware.cols < 256
 
     def test_area_override(self):
-        row = compare_one("BV", 16, area=100)
-        assert row.oneq.layouts[0].shape == (10, 10)
+        run = _compiled(RunSpec("BV", 16, area=100))
+        assert run.program.layouts[0].shape == (10, 10)
 
 
 class TestTable2:
     def test_subset_run(self):
-        rows = run_table2(benchmarks=[("BV", 16), ("QAOA", 16)])
+        rows = run_grid(benchmarks=[("BV", 16), ("QAOA", 16)], jobs=1)
         assert [r.label for r in rows] == ["BV-16", "QAOA-16"]
 
     def test_orders_of_magnitude(self):
         """The paper's headline: improvements of orders of magnitude."""
-        rows = run_table2(benchmarks=[("BV", 16), ("RCA", 16)])
+        rows = run_grid(benchmarks=[("BV", 16), ("RCA", 16)], jobs=1)
         for row in rows:
             assert row.depth_improvement > 10
             assert row.fusion_improvement > 10
 
     def test_bv_best(self):
-        rows = run_table2(
-            benchmarks=[("QAOA", 16), ("BV", 16)]
-        )
-        by_name = {r.name: r for r in rows}
+        rows = run_grid(benchmarks=[("QAOA", 16), ("BV", 16)], jobs=1)
+        by_name = {r.benchmark: r for r in rows}
         assert (
             by_name["BV"].fusion_improvement
             > by_name["QAOA"].fusion_improvement
@@ -83,31 +87,57 @@ class TestTable2:
 
 class TestFigures:
     def test_fig12_all_resource_states(self):
-        results = run_fig12(num_qubits=8, benchmarks=("BV",))
-        assert set(results) == {"3-line", "4-line", "4-star", "4-ring"}
-        for rows in results.values():
-            assert rows[0].fusion_improvement > 1
+        records = run_fig12(num_qubits=8, benchmarks=("BV",))
+        assert {r.resource_state for r in records} == {
+            "3-line", "4-line", "4-star", "4-ring"
+        }
+        for record in records:
+            assert record.fusion_improvement > 1
 
     def test_fig13_shapes(self):
-        results = run_fig13(num_qubits=8, benchmarks=("BV",))
-        assert set(results["BV"].keys()) == {r for r, _ in FIG13_SHAPES}
+        records = run_fig13(num_qubits=8, benchmarks=("BV",))
+        assert {r.ratio for r in records if r.benchmark == "BV"} == {
+            r for r, _ in FIG13_SHAPES
+        }
 
     def test_fig14_extended_layer(self):
-        prog = run_fig14(num_qubits=8, side=9, extension=3)
-        assert prog.extension == 3
-        assert prog.layouts[0].shape == (9, 27)
+        record = run_fig14(num_qubits=8, side=9, extension=3)
+        assert record.extension == 3
+        # the record's coordinate is the spec it ran: same cache key
+        spec = RunSpec(
+            record.benchmark,
+            record.num_qubits,
+            seed=record.seed,
+            area=record.area,
+            extension=record.extension,
+        )
+        assert spec.key() == record.key
+        assert _compiled(spec).program.layouts[0].shape == (9, 27)
 
     def test_fig15_area_sweep(self):
-        results = run_fig15(
+        records = run_fig15(
             num_qubits=8, benchmarks=("BV",), areas=(64, 144, 256)
         )
-        per_area = results["BV"]
-        assert set(per_area) == {64, 144, 256}
+        assert {r.area for r in records if r.benchmark == "BV"} == {64, 144, 256}
 
     def test_fig15_depth_monotone_trend(self):
         """Fig. 15 shape: depth does not increase with physical area."""
-        results = run_fig15(
+        records = run_fig15(
             num_qubits=16, benchmarks=("QAOA",), areas=(100, 256, 600)
         )
-        per_area = results["QAOA"]
-        assert per_area[100].physical_depth >= per_area[600].physical_depth
+        per_area = {r.area: r for r in records}
+        assert per_area[100].depth >= per_area[600].depth
+
+
+class TestFidelity:
+    def test_baseline_side_is_the_baseline_result(self):
+        """The record's baseline columns plus the cluster area give the
+        same log-fidelity as the baseline interpreter's own result."""
+        from repro.baseline.interpreter import compile_baseline
+        from repro.hardware.noise import baseline_log_fidelity
+
+        ((record, base_lf, oneq_lf, factor),) = run_fidelity([("BV", 8)])
+        baseline = compile_baseline(get_benchmark("BV", 8, seed=7), name="BV")
+        assert base_lf == baseline_log_fidelity(baseline)
+        assert oneq_lf > base_lf
+        assert factor > 10

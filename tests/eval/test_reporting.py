@@ -1,6 +1,7 @@
 """Tests for the table renderers."""
 
-from repro.eval.experiments import run_fig13, run_fig15, run_table1, run_table2
+from repro.eval.batch import run_grid
+from repro.eval.experiments import run_fig13, run_fig15, run_table1
 from repro.eval.reporting import (
     render_fig12,
     render_fig13,
@@ -24,14 +25,14 @@ class TestRenderTable1:
 
 class TestRenderTable2:
     def test_rendering(self):
-        rows = run_table2(benchmarks=[("BV", 16)])
+        rows = run_grid(benchmarks=[("BV", 16)], jobs=1)
         text = render_table2(rows)
         assert "BV-16" in text
         assert "x" in text
         assert "Paper" in text
 
     def test_without_paper_columns(self):
-        rows = run_table2(benchmarks=[("BV", 16)])
+        rows = run_grid(benchmarks=[("BV", 16)], jobs=1)
         text = render_table2(rows, with_paper=False)
         assert "Paper" not in text
 

@@ -179,6 +179,34 @@ class TestCompileService:
         assert columns <= {f.name for f in fields(RunRecord)}
         assert all(plain["artifact"][name] is None for name in columns)
 
+    def test_qasm_artifact_matches_benchmark_artifact(self, service):
+        """A QASM job is the benchmark job on the parsed circuit: same
+        artifact columns, same measured values, only the label and
+        ``kind`` differ."""
+        from repro.circuit import get_benchmark
+        from repro.circuit.qasm import to_qasm
+
+        knobs = {"verify": True, "shots": 300, "include_baseline": True}
+        qasm = service.handle(
+            dict(
+                knobs,
+                op="compile",
+                qasm=to_qasm(get_benchmark("BV", 6, seed=7)),
+                name="bv6",
+            )
+        )["artifact"]
+        bench = service.handle(
+            dict(knobs, op="compile", benchmark="BV", qubits=6)
+        )["artifact"]
+        assert set(qasm) == set(bench)
+        assert (qasm["kind"], qasm["benchmark"]) == ("qasm", "bv6")
+        for column in (
+            "num_qubits", "depth", "num_fusions", "mapping_layers",
+            "verified", "verify_method", "shots", "yield_mc",
+            "yield_analytic", "baseline_depth", "baseline_fusions",
+        ):
+            assert qasm[column] == bench[column], column
+
     def test_yield_estimate_in_artifact(self, service):
         response = service.handle(
             {"op": "compile", "benchmark": "BV", "qubits": 6, "shots": 200}

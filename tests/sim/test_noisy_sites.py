@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from repro.circuit import get_benchmark
-from repro.core import compile_circuit
+from repro.core import compile_circuit, estimate_yield
 from repro.hardware import HardwareConfig
 from repro.hardware.degradation import (
     SiteNoiseMap,
     make_scenario,
     program_site_profile,
+    site_analytic_yield,
 )
 from repro.hardware.noise import NoiseModel
 from repro.sim.noisy import ENGINES, FaultCounts, NoisySampler
@@ -143,3 +144,68 @@ class TestHeterogeneousSampling:
         )
         with pytest.raises(ValueError, match="re-route or recompile"):
             site_sampler(circuit, program, site_map)
+
+
+class TestNonCliffordSiteMap:
+    """``estimate_yield``'s analytic-only branch resolves a site map the
+    way the sampler does: per-site closed form, same rejections."""
+
+    @pytest.fixture(scope="class")
+    def qft(self):
+        hardware = HardwareConfig.square(6)
+        circuit = get_benchmark("QFT", 4)
+        program = compile_circuit(circuit, hardware)
+        return hardware, circuit, program
+
+    def estimate(self, circuit, program, site_map, profile=True):
+        return estimate_yield(
+            circuit,
+            counts=FaultCounts.from_program(program),
+            site_map=site_map,
+            site_profile=(
+                program_site_profile(program, site_map.shape)
+                if profile else None
+            ),
+        )
+
+    def test_reports_per_site_closed_form(self, qft):
+        hardware, circuit, program = qft
+        site_map = make_scenario(
+            "degraded-fusion", hardware.extended_shape, 0.5,
+            base=MODEL, seed=3,
+        )
+        estimate = self.estimate(circuit, program, site_map)
+        counts = FaultCounts.from_program(program)
+        assert estimate.method == "analytic-only"
+        assert estimate.yield_analytic == site_analytic_yield(
+            program_site_profile(program, site_map.shape),
+            site_map,
+            counts.measurements,
+        )
+        assert estimate.yield_analytic < counts.analytic_yield(MODEL)
+
+    def test_uniform_map_collapses_to_scalar_model(self, qft):
+        hardware, circuit, program = qft
+        site_map = SiteNoiseMap.uniform(MODEL, hardware.extended_shape)
+        estimate = self.estimate(circuit, program, site_map, profile=False)
+        assert estimate.yield_analytic == FaultCounts.from_program(
+            program
+        ).analytic_yield(MODEL)
+
+    def test_hetero_map_requires_profile(self, qft):
+        hardware, circuit, program = qft
+        site_map = make_scenario(
+            "degraded-fusion", hardware.extended_shape, 0.5,
+            base=MODEL, seed=3,
+        )
+        with pytest.raises(ValueError, match="site_profile"):
+            self.estimate(circuit, program, site_map, profile=False)
+
+    def test_dead_assigned_fusions_rejected(self, qft):
+        hardware, circuit, program = qft
+        dead = np.ones(hardware.extended_shape, dtype=bool)
+        site_map = SiteNoiseMap(
+            shape=hardware.extended_shape, base=MODEL, dead=dead
+        )
+        with pytest.raises(ValueError, match="re-route or recompile"):
+            self.estimate(circuit, program, site_map)

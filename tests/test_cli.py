@@ -72,6 +72,15 @@ class TestCommands:
         assert "BV-16" in out
         assert "Improv." in out
 
+    @pytest.mark.parametrize("table", ["table1", "table2"])
+    def test_tables_reject_qubits(self, table, capsys):
+        """The tables span the paper's fixed sizes: a --qubits they
+        would ignore is a usage error, not a silent no-op."""
+        with pytest.raises(SystemExit) as exc:
+            main([table, "--qubits", "8"])
+        assert exc.value.code == 2
+        assert "--qubits" in capsys.readouterr().err
+
     def test_fig13_quick_restricts_benchmarks(self, capsys):
         assert main(["fig13", "--qubits", "6", "--quick"]) == 0
         out = capsys.readouterr().out
